@@ -1,9 +1,22 @@
 """Generalized Krawtchouk polynomials and the (n+1) x (n+1) eigenmatrix.
 
-Three routes to the same numbers: the generic two-parameter form P_k(x,y)
-over an arbitrary rational base b, its specialization at b = q^2 (`skew_p`),
-and the explicit alternating-sum form `skew_c`.  The matrix P with entries
-P_k(x,n) transforms weight distributions to dual weight distributions.
+The matrix P with entries P_k(x,n) transforms weight distributions to dual
+weight distributions.  `p_matrix` builds it in plain integers from the
+three-term recurrence of the alternating-forms association scheme, which is
+P-polynomial (Delsarte 1973; Brouwer-Cohen-Neumaier, Distance-Regular Graphs
+9.5).  With Q = q^2 and [j,1] = (Q^j - 1)/(Q - 1), its intersection numbers
+are
+
+    b_k = Q^k [n-k,1] (q^m - Q^k),   c_k = Q^{k-1} [k,1],   a_k = b_0 - b_k - c_k,
+
+and each row x follows from P_0(x) = 1, P_1(x) = q^m [n-x,1] - [n,1] and
+
+    c_{k+1} P_{k+1}(x) = (P_1(x) - a_k) P_k(x) - b_{k-1} P_{k-1}(x).
+
+Three closed forms give the same numbers and serve as its oracles: the
+generic two-parameter form P_k(x,y) over an arbitrary rational base b, its
+specialization at b = q^2 (`skew_p`), and the explicit alternating-sum form
+`skew_c`.
 """
 
 from __future__ import annotations
@@ -65,7 +78,10 @@ def skew_p(params: SchemeParams, k: int, x: int) -> int:
             * gauss(q, n - x, j)
             * q ** (j * m)
         )
-    assert out.denominator == 1, f"skew_p({params}, {k}, {x}) not an integer"
+    if out.denominator != 1:
+        raise ArithmeticError(
+            f"skew_p({params}, {k}, {x}) = {out} is not an integer"
+        )
     return int(out)
 
 
@@ -87,7 +103,10 @@ def skew_c(params: SchemeParams, k: int, x: int) -> int:
             * g2
             * gamma(q, m - 2 * j, k - j)
         )
-    assert out.denominator == 1, f"skew_c({params}, {k}, {x}) not an integer"
+    if out.denominator != 1:
+        raise ArithmeticError(
+            f"skew_c({params}, {k}, {x}) = {out} is not an integer"
+        )
     return int(out)
 
 
@@ -109,21 +128,41 @@ class KrawtchoukMatrix:
     def row(self, x: int) -> tuple[int, ...]:
         return self.entries[x]
 
-    def transform(self, dist: list[int]) -> list[Fraction]:
+    def transform(self, dist: list[int]) -> list[int]:
         """Row vector times matrix: out_k = sum_x dist[x] * P_k(x,n)."""
         n = self.params.n
         if len(dist) != n + 1:
             raise ValueError(f"distribution must have length {n + 1}")
         return [
-            sum((Fraction(dist[x]) * self.entries[x][k] for x in range(n + 1)),
-                Fraction(0))
+            sum(dist[x] * self.entries[x][k] for x in range(n + 1))
             for k in range(n + 1)
         ]
 
 
 def p_matrix(params: SchemeParams) -> KrawtchoukMatrix:
-    n = params.n
-    rows = tuple(
-        tuple(skew_p(params, k, x) for k in range(n + 1)) for x in range(n + 1)
-    )
-    return KrawtchoukMatrix(params, rows)
+    """The eigenmatrix, row by row from the three-term recurrence."""
+    n, m, q = params.n, params.m, params.q
+    big_q = q * q
+    qm = q**m
+
+    def bracket(j: int) -> int:
+        return (big_q**j - 1) // (big_q - 1)
+
+    b = [big_q**k * bracket(n - k) * (qm - big_q**k) for k in range(n)]
+    c = [0] + [big_q ** (k - 1) * bracket(k) for k in range(1, n + 1)]
+    a = [b[0] - b[k] - c[k] for k in range(n)]
+    rows = []
+    for x in range(n + 1):
+        p1 = qm * bracket(n - x) - bracket(n)
+        row = [1, p1]
+        for k in range(1, n):
+            val, rem = divmod((p1 - a[k]) * row[k] - b[k - 1] * row[k - 1],
+                              c[k + 1])
+            if rem:
+                raise ArithmeticError(
+                    f"recurrence step to P_{k + 1}({x}) at {params} is not "
+                    f"an exact division"
+                )
+            row.append(val)
+        rows.append(tuple(row))
+    return KrawtchoukMatrix(params, tuple(rows))

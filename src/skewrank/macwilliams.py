@@ -30,11 +30,11 @@ def _as_counts(w: WeightDist | list[int] | tuple[int, ...],
     return counts
 
 
-def _finalize(raw: list[Fraction], code_size: int,
+def _finalize(raw: list[int] | list[Fraction], code_size: int,
               params: SchemeParams) -> WeightDist:
     counts = []
     for k, val in enumerate(raw):
-        val = val / code_size
+        val = Fraction(val, code_size)
         if val.denominator != 1 or val < 0:
             raise ValueError(
                 f"transform output entry {k} is {val}, not a nonnegative "

@@ -104,14 +104,16 @@ def run_selftest(seed: int = 0) -> list[tuple[str, bool]]:
         for q, t in ((2, 4), (2, 5), (2, 6), (3, 4), (3, 5), (4, 4), (5, 4)):
             p = SchemeParams(q, t)
             b, c = krawtchouk.matched_bc(p)
+            mat = krawtchouk.p_matrix(p)
             for x in range(p.n + 1):
                 for k in range(p.n + 1):
                     sp = krawtchouk.skew_p(p, k, x)
+                    if mat.entries[x][k] != sp:
+                        return False
                     if krawtchouk.skew_c(p, k, x) != sp:
                         return False
                     if krawtchouk.generalized_p(b, c, k, x, p.n) != sp:
                         return False
-            mat = krawtchouk.p_matrix(p)
             col = mat.transform([xi(p, x) for x in range(p.n + 1)])
             want = [q ** (p.m * p.n)] + [0] * p.n
             if col != want:

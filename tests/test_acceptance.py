@@ -155,13 +155,14 @@ def test_criterion_4_krawtchouk_equivalences():
             params = SchemeParams(q, t)
             b, c = matched_bc(params)
             n = params.n
+            mat = p_matrix(params)
             for x in range(n + 1):
                 for k in range(n + 1):
                     val = skew_p(params, k, x)
+                    assert mat.entries[x][k] == val
                     assert skew_c(params, k, x) == val
                     assert generalized_p(b, c, k, x, n) == val
             # column relation: the dual of the whole space is zero
-            mat = p_matrix(params)
             out = mat.transform([xi(params, x) for x in range(n + 1)])
             assert out == [q ** (params.m * n)] + [0] * n
         # recurrence across parity-matched parameter steps

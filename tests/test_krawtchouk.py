@@ -13,12 +13,41 @@ from skewrank.krawtchouk import (
 from skewrank.qcombinat import SchemeParams, gamma, gauss, xi
 
 EQUIVALENCE_PAIRS = ((2, 4), (2, 5), (2, 6), (3, 4), (3, 5), (4, 4), (5, 4))
+FIELDS = (2, 3, 4, 5, 7, 8, 9)
 
 
 class TestMatrix:
     def test_matrix_3_4(self):
         mat = p_matrix(SchemeParams(3, 4))
         assert mat.entries == ((1, 260, 468), (1, 17, -18), (1, -10, 9))
+
+    def test_matrix_n_one(self):
+        # t = 2 gives n = 1: P comes from P_0 and P_1 alone
+        assert p_matrix(SchemeParams(3, 2)).entries == ((1, 2), (1, -1))
+        assert p_matrix(SchemeParams(2, 3)).entries == ((1, 7), (1, -1))
+
+    @pytest.mark.parametrize("q", FIELDS)
+    def test_recurrence_matches_closed_forms(self, q):
+        for t in range(2, 13):
+            p = SchemeParams(q, t)
+            mat = p_matrix(p)
+            for x in range(p.n + 1):
+                for k in range(p.n + 1):
+                    sp = skew_p(p, k, x)
+                    assert mat.entries[x][k] == sp
+                    assert skew_c(p, k, x) == sp
+
+    @pytest.mark.parametrize("q", FIELDS)
+    def test_square_is_scaled_identity(self, q):
+        for t in range(2, 40):
+            p = SchemeParams(q, t)
+            rows = p_matrix(p).entries
+            cols = list(zip(*rows))
+            scale = q ** (p.m * p.n)
+            for i, row in enumerate(rows):
+                for j, col in enumerate(cols):
+                    want = scale if i == j else 0
+                    assert sum(a * b for a, b in zip(row, col)) == want
 
     def test_row_zero_is_xi(self):
         for q, t in EQUIVALENCE_PAIRS:
