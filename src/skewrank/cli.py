@@ -307,10 +307,6 @@ def build_parser() -> argparse.ArgumentParser:
             "--budget", type=int, default=gfcodes.DEFAULT_BUDGET,
             help="enumeration budget (for msrd-find: candidate samples)",
         )
-        p.add_argument(
-            "--threads", type=int, default=1,
-            help="worker cap (execution is sequential and deterministic)",
-        )
 
     commands = {
         "wdist": (cmd_wdist, "weight distribution of a code file"),
@@ -340,9 +336,6 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
-    if args.threads < 1:
-        print("--threads must be >= 1", file=sys.stderr)
-        return EXIT_USAGE
     try:
         return args.func(args)
     except EnumerationBudgetError as exc:

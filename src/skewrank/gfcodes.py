@@ -19,7 +19,6 @@ from .qcombinat import SchemeParams, factor_prime_power
 
 DEFAULT_BUDGET = 1 << 26
 _RANK_TABLE_CAP = 1 << 20
-_MATERIALIZE_CAP = 1 << 20
 
 # Irreducible moduli over F_p for the built-in non-prime fields,
 # coefficients low degree first.
@@ -181,9 +180,12 @@ class FieldSpec:
     def _spot_check(self) -> None:
         q = self.q
         for a in range(1, q):
-            assert self._mul[a][self._inv[a]] == 1, f"no inverse for {a} in GF({q})"
-            assert self._add[a][self._neg[a]] == 0
-        assert all(self._mul[1][b] == b for b in range(q))
+            if self._mul[a][self._inv[a]] != 1:
+                raise ArithmeticError(f"no inverse for {a} in GF({q})")
+            if self._add[a][self._neg[a]] != 0:
+                raise ArithmeticError(f"no negative for {a} in GF({q})")
+        if any(self._mul[1][b] != b for b in range(q)):
+            raise ArithmeticError(f"1 is not the identity of GF({q})")
 
     def add(self, a: int, b: int) -> int:
         return self._add[a][b]
@@ -336,7 +338,8 @@ def _rank_of_rows(rows: list[list[int]], field: FieldSpec) -> int:
 def skew_rank(a: SkewMat) -> int:
     """Half the column rank of the full matrix; the rank is always even."""
     rank = _rank_of_rows(a.full_matrix(), a.field)
-    assert rank % 2 == 0, f"alternating matrix with odd rank {rank}"
+    if rank % 2:
+        raise ArithmeticError(f"alternating matrix with odd rank {rank}")
     return rank // 2
 
 
@@ -415,7 +418,8 @@ def canonical_decompose(a: SkewMat) -> tuple[list[list[int]], int]:
                 want = neg(1)
             else:
                 want = 0
-            assert got == want, f"canonical form violated at ({i},{j})"
+            if got != want:
+                raise ArithmeticError(f"canonical form violated at ({i},{j})")
     return p_rows, s
 
 
@@ -704,103 +708,79 @@ def dual(code: LinearCode) -> LinearCode:
     return LinearCode.from_rows(params, field, rows)
 
 
-def _span_words(basis_rows: list[tuple[int, ...]], field: FieldSpec,
-                ncoords: int):
-    """All words of the span (doubling construction); q^k tuples."""
-    q = field.q
-    add = field.add
-    mul = field.mul
-    words = [tuple([0] * ncoords)]
-    for row in basis_rows:
-        scaled = [tuple(mul(c, v) for v in row) for c in range(1, q)]
-        extra = []
-        for s in scaled:
-            extra += [tuple(add(a, b) for a, b in zip(w, s)) for w in words]
-        words += extra
-    return words
-
-
 def weight_distribution(code: LinearCode,
                         budget: int = DEFAULT_BUDGET) -> WeightDist:
-    """Counts of codewords by skew rank over all q^k words."""
+    """Counts of codewords by skew rank over all q^k words.
+
+    The walk runs over the F_p-basis of the span, each basis row times x^j
+    for j < e (the element x^j is the integer p^j), in modular p-ary Gray
+    order (Knuth, TAOCP 4A, 7.2.1.1): step s = 1..q^k - 1 adds basis vector
+    number v_p(s), the p-adic valuation of s.  Each word is the previous
+    one plus one vector, updated in place on that vector's support, and
+    the packed base-q index moves with it for the rank-table lookup;
+    without a table the word goes to the eliminator.  Memory is O(1) in
+    q^k: only the current word is held.
+    """
     params, field = code.params, code.field
-    q = field.q
+    q, p = field.q, field.p
     size = q**code.k
     if size > budget:
         raise EnumerationBudgetError(
             f"q^k = {size} exceeds the enumeration budget {budget}"
         )
-    n = params.n
-    counts = [0] * (n + 1)
+    counts = [0] * (params.n + 1)
     space = q**params.num_coords
     tbl = None
     if space <= _RANK_TABLE_CAP and (
         space <= 64 * size or _rank_table_key(params, field) in _RANK_TABLES
     ):
         tbl = rank_table(params, field)
+    rank = _skew_ranker(params, field)
 
-    rows = code.basis_rows()
-    if field.p == 2 and tbl is not None:
-        # packed coordinates add by XOR; spans stay in index space
-        e = field.e
-        packed = [_pack(r, q) for r in rows]
-        words = [0]
-        mul = field.mul
-        for b, row in zip(packed, rows):
-            scaled = [b] if q == 2 else [
-                _pack([mul(c, v) for v in row], q) for c in range(1, q)
-            ]
-            extra = []
-            for s in scaled:
-                extra += [w ^ s for w in words]
-            words += extra
-        for w in words:
-            counts[tbl[w]] += 1
-        return WeightDist(params, tuple(counts))
-
-    if size <= _MATERIALIZE_CAP:
-        words = _span_words(rows, field, params.num_coords)
-        if tbl is not None:
-            for w in words:
-                counts[tbl[_pack(w, q)]] += 1
-        else:
-            for w in words:
-                counts[_rank_from_coords(w, params, field)] += 1
-        return WeightDist(params, tuple(counts))
-
-    # very large spans: depth-first with partial sums, constant memory
-    add = field.add
-    mul = field.mul
-    ncoords = params.num_coords
-    scaled_rows = [
-        [tuple(mul(c, v) for v in row) for c in range(q)] for row in rows
-    ]
-
-    def rec(level: int, acc: tuple[int, ...]) -> None:
-        if level == len(rows):
-            if tbl is not None:
-                counts[tbl[_pack(acc, q)]] += 1
-            else:
-                counts[_rank_from_coords(acc, params, field)] += 1
-            return
-        for c in range(q):
-            nxt = acc if c == 0 else tuple(
-                add(a, b) for a, b in zip(acc, scaled_rows[level][c])
-            )
-            rec(level + 1, nxt)
-
-    rec(0, tuple([0] * ncoords))
+    # per F_p-basis vector, per coordinate of its support: the coordinate,
+    # its new value and the change of the packed index, both by old value
+    add = field._add
+    steps = []
+    for row in code.basis_rows():
+        for j in range(field.e):
+            steps.append([
+                (c, add[g], [(add[g][v] - v) * q**c for v in range(q)])
+                for c, g in enumerate(field.mul(p**j, v) for v in row) if g
+            ])
+    word = [0] * params.num_coords
+    idx = 0
+    counts[0] = 1  # the zero word
+    for s in range(1, size):
+        r, m = 0, s
+        while not m % p:
+            m //= p
+            r += 1
+        for c, new, delta in steps[r]:
+            old = word[c]
+            word[c] = new[old]
+            idx += delta[old]
+        counts[rank(word) if tbl is None else tbl[idx]] += 1
     return WeightDist(params, tuple(counts))
 
 
-def _rank_from_coords(coords, params: SchemeParams, field: FieldSpec) -> int:
+def _skew_ranker(params: SchemeParams, field: FieldSpec):
+    """Skew rank of one word of upper-triangle coords, by elimination.
+
+    The positions are laid out once here, not once per word.
+    """
     t = params.t
-    rows = [[0] * t for _ in range(t)]
-    for (i, j), v in zip(upper_positions(t), coords):
-        if v:
-            rows[i][j] = v
-            rows[j][i] = field.neg(v)
-    return _rank_of_rows(rows, field) // 2
+    pos = upper_positions(t)
+    neg = field._neg
+
+    def rank(coords) -> int:
+        rows = [[0] * t for _ in range(t)]
+        for (i, j), v in zip(pos, coords):
+            if v:
+                rows[i][j] = v
+                rows[j][i] = neg[v]
+        return _rank_of_rows(rows, field) // 2
+
+    return rank
 
 
 def min_distance(code: LinearCode, budget: int = DEFAULT_BUDGET) -> int:

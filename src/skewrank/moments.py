@@ -20,7 +20,8 @@ from .gfcodes import (
     LinearCode,
     SchemeParams,
     WeightDist,
-    _rank_from_coords,
+    _pack,
+    _skew_ranker,
     full_space_code,
     make_field,
     min_distance,
@@ -334,14 +335,10 @@ def find_msrd(
 
     ncoords = params.num_coords
     tbl = rank_table(params, field)
+    rank = _skew_ranker(params, field)
 
     def rank_of(word: tuple[int, ...]) -> int:
-        if tbl is not None:
-            idx = 0
-            for v in reversed(word):
-                idx = idx * q + v
-            return tbl[idx]
-        return _rank_from_coords(word, params, field)
+        return rank(word) if tbl is None else tbl[_pack(word, q)]
 
     rng = random.Random(seed)
     add, mul = field.add, field.mul

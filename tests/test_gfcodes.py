@@ -1,4 +1,6 @@
+import itertools
 import random
+import tracemalloc
 
 import pytest
 
@@ -17,6 +19,7 @@ from skewrank.gfcodes import (
     parse_code,
     random_code,
     rank_census,
+    rank_table,
     serialize_code,
     skew_rank,
     upper_positions,
@@ -166,6 +169,15 @@ class TestSkewRank:
         m = SkewMat(p, make_field(5), (1, 0, 0, 0, 0, 0))
         assert skew_rank(m) == 1
 
+    def test_odd_rank_raises(self, monkeypatch):
+        # an explicit raise, so the parity check also holds under python -O
+        import skewrank.gfcodes as g
+
+        monkeypatch.setattr(g, "_rank_of_rows", lambda rows, field: 3)
+        m = SkewMat(SchemeParams(3, 4), make_field(3), (1, 0, 0, 0, 0, 0))
+        with pytest.raises(ArithmeticError, match="odd rank 3"):
+            skew_rank(m)
+
     def test_rank_parity_and_oracle(self):
         rng = random.Random(6)
         for q, t in ACCEPTANCE_PAIRS:
@@ -302,6 +314,48 @@ class TestDual:
                                     tr, f.mul(a_full[j][i], b_full[j][i])
                                 )
                         assert tr == 0
+
+
+def dense_code(params, field, k, rng):
+    """k random independent rows, not reduced, so supports are dense."""
+    while True:
+        rows = [
+            tuple(rng.randrange(field.q) for _ in range(params.num_coords))
+            for _ in range(k)
+        ]
+        try:
+            return LinearCode.from_rows(params, field, rows)
+        except ValueError:
+            continue
+
+
+def product_oracle(code):
+    """Distribution over every coefficient vector, word by word."""
+    counts = [0] * (code.params.n + 1)
+    zero = SkewMat(code.params, code.field, (0,) * code.params.num_coords)
+    for coeffs in itertools.product(range(code.field.q), repeat=code.k):
+        word = zero
+        for c, b in zip(coeffs, code.basis):
+            word = word.add(b.scale(c))
+        counts[skew_rank(word)] += 1
+    return tuple(counts)
+
+
+class OracleTable:
+    """Stands in for a rank table: decodes a packed index and ranks it."""
+
+    def __init__(self, params, field):
+        self.params, self.field = params, field
+        self.lookups = 0
+
+    def __getitem__(self, idx):
+        self.lookups += 1
+        coords = []
+        for _ in range(self.params.num_coords):
+            idx, v = divmod(idx, self.field.q)
+            coords.append(v)
+        assert idx == 0
+        return skew_rank(SkewMat(self.params, self.field, tuple(coords)))
 
 
 class TestWeightDistribution:
@@ -454,16 +508,40 @@ class TestEnumerationPaths:
         c = LinearCode.from_rows(p, f, [(1, 0, 0, 0, 0, 0)])
         assert weight_distribution(c).counts == (1, 6, 0)
 
-    def test_dfs_path_matches_materialized(self, monkeypatch):
+    @pytest.mark.parametrize("mode", ["table", "no-table"])
+    def test_walk_matches_product_oracle(self, monkeypatch, mode):
         import skewrank.gfcodes as g
 
-        p = SchemeParams(3, 4)
-        f = make_field(3)
-        rng = random.Random(55)
-        code = random_code(p, f, 4, rng)
-        want = weight_distribution(code).counts
-        monkeypatch.setattr(g, "_MATERIALIZE_CAP", 8)
-        assert weight_distribution(code).counts == want
+        monkeypatch.setattr(g, "_RANK_TABLES", {})
+        if mode == "no-table":
+            monkeypatch.setattr(g, "_RANK_TABLE_CAP", 0)
+        rng = random.Random(57)
+        cases = [(q, 4) for q in (2, 3, 4, 5, 7, 8, 9)] + [(2, 5), (3, 5)]
+        for q, t in cases:
+            p, f = SchemeParams(q, t), make_field(q)
+            # a stand-in table checks every packed index the walk looks up
+            table = OracleTable(p, f)
+            if mode == "table":
+                g._RANK_TABLES[g._rank_table_key(p, f)] = table
+            for k in range(4):
+                if q**k > 800:
+                    continue
+                code = dense_code(p, f, k, rng)
+                assert weight_distribution(code).counts == product_oracle(code)
+            assert (table.lookups > 0) == (mode == "table")
+
+    def test_walk_memory_is_constant(self):
+        p, f = SchemeParams(3, 5), make_field(3)
+        rank_table(p, f)
+        code = full_space_code(p, f)
+        tracemalloc.start()
+        try:
+            wd = weight_distribution(code)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert wd.counts == tuple(xi(p, s) for s in range(p.n + 1))
+        assert peak < 1 << 20
 
     def test_xor_path_matches_tuple_path(self, monkeypatch):
         import skewrank.gfcodes as g
@@ -472,7 +550,7 @@ class TestEnumerationPaths:
         f = make_field(4)
         rng = random.Random(56)
         code = random_code(p, f, 3, rng)
-        want = weight_distribution(code).counts  # xor fast path (table cached)
+        want = weight_distribution(code).counts  # with the (4,4) table
         monkeypatch.setattr(g, "_RANK_TABLE_CAP", 0)
         monkeypatch.setattr(g, "_RANK_TABLES", {})
         assert weight_distribution(code).counts == want
