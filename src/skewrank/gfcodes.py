@@ -343,6 +343,73 @@ def skew_rank(a: SkewMat) -> int:
     return rank // 2
 
 
+def _alt_rank(mat: int | list[list[int]], t: int, field: FieldSpec) -> int:
+    """Skew rank of an alternating t x t matrix by symplectic pair pivots.
+
+    Each step takes the first row i with a nonzero entry and its first
+    nonzero column j (j > i), and replaces every other row k by
+    row_k + (A_ki row_j - A_kj row_i) / A_ij: the Schur complement of the
+    2 x 2 block, alternating again, with columns i and j zero.
+    Each step splits off one hyperbolic pair, so the skew rank is the
+    number of steps (Delsarte-Goethals, JCTA 19, 1975); once t // 2 pairs
+    are found no further pair fits.
+
+    At q = 2, mat is one t*t-bit int whose bit t*i + j is entry (i, j).  A
+    is symmetric there, so column i is row i spread to bits t*k + i, and a
+    step XORs both rank-one updates into the whole matrix at once.  At any
+    other q, mat is a list of t rows, each a list of field elements, and
+    the update goes through the field tables.  mat is not mutated.
+    """
+    s = 0
+    half = t // 2
+    if field.q == 2:
+        row = (1 << t) - 1
+        col = ((1 << t * t) - 1) // row  # bit t*k for every k
+        while mat:
+            s += 1
+            if s == half:
+                break
+            i, j = divmod((mat & -mat).bit_length() - 1, t)
+            mat ^= ((mat >> t * i & row) * (mat >> j & col)
+                    ^ (mat >> t * j & row) * (mat >> i & col))
+        return s
+    add, mul, neg, inv = field._add, field._mul, field._neg, field._inv
+    rows = list(mat)  # rows are replaced, never written into
+    for i in range(t - 1):
+        ri = rows[i]
+        for j in range(i + 1, t):
+            if ri[j]:
+                break
+        else:
+            continue
+        s += 1
+        if s == half:
+            break
+        rj = rows[j]
+        rows[j] = [0] * t
+        scale = mul[inv[ri[j]]]
+        for k in range(i + 1, t):
+            rk = rows[k]
+            if rk[i] or rk[j]:
+                a, b = mul[scale[rk[i]]], mul[neg[scale[rk[j]]]]
+                rows[k] = [add[add[x][a[y]]][b[z]]
+                           for x, y, z in zip(rk, rj, ri)]
+    return s
+
+
+def _alt_form(t: int, field: FieldSpec, coords) -> int | list[list[int]]:
+    """Upper-triangle coords as the matrix in _alt_rank's form."""
+    pos = upper_positions(t)
+    if field.q == 2:
+        return sum(1 << t * i + j | 1 << t * j + i
+                   for (i, j), v in zip(pos, coords) if v)
+    rows = [[0] * t for _ in range(t)]
+    for (i, j), v in zip(pos, coords):
+        rows[i][j] = v
+        rows[j][i] = field._neg[v]
+    return rows
+
+
 def _bilinear(a_full: list[list[int]], field: FieldSpec,
               x: list[int], y: list[int]) -> int:
     add, mul = field.add, field.mul
@@ -442,81 +509,18 @@ def _rank_table_key(params: SchemeParams, field: FieldSpec) -> tuple:
 
 
 def _build_rank_table(params: SchemeParams, field: FieldSpec) -> bytearray:
-    """Skew rank of every matrix in the space, indexed by packed coords."""
-    t = params.t
-    ncoords = params.num_coords
-    q = field.q
-    size = q**ncoords
-    table = bytearray(size)
-    pos = upper_positions(t)
-    if field.p == 2:
-        # rows as bitmasks of digit vectors; elimination is pure XOR
-        e = field.e
-        for idx in range(size):
-            rows = [0] * t
-            v = idx
-            for (i, j) in pos:
-                c = v % q
-                v //= q
-                if c:
-                    rows[i] |= c << (e * j)
-                    rows[j] |= c << (e * i)
-            # rank over GF(2^e) via generic elimination on digit-coded rows
-            table[idx] = _rank_gf2e(rows, t, field) // 2
-        return table
-    for idx in range(size):
-        rows = [[0] * t for _ in range(t)]
-        v = idx
-        for (i, j) in pos:
-            c = v % q
-            v //= q
-            if c:
-                rows[i][j] = c
-                rows[j][i] = field.neg(c)
-        table[idx] = _rank_of_rows(rows, field) // 2
+    """Skew rank of every matrix in the space, indexed by packed coords.
+
+    The space is the span of the unit rows; it is walked in the order of
+    weight_distribution, the packed index and the matrix moving side by
+    side, and every word is ranked by _alt_rank.
+    """
+    unit = full_space_code(params, field).basis_rows()
+    table = bytearray(field.q**params.num_coords)  # the zero word has rank 0
+    for idx, rank in zip(_walk_indices(params, field, unit),
+                         _walk_ranks(params, field, unit)):
+        table[idx] = rank
     return table
-
-
-def _rank_gf2e(rows: list[int], t: int, field: FieldSpec) -> int:
-    """Rank of a matrix over GF(2^e) whose rows pack e bits per column."""
-    e = field.e
-    mask = (1 << e) - 1
-    mul, inv = field.mul, field.inv
-    rank = 0
-    rows = list(rows)
-    for col in range(t):
-        sh = e * col
-        piv = None
-        for r in range(rank, t):
-            if (rows[r] >> sh) & mask:
-                piv = r
-                break
-        if piv is None:
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        prow = rows[rank]
-        c = (prow >> sh) & mask
-        if c != 1:
-            prow = _scale_row_gf2e(prow, inv(c), t, field)
-            rows[rank] = prow
-        for r in range(rank + 1, t):
-            c = (rows[r] >> sh) & mask
-            if c:
-                rows[r] ^= prow if c == 1 else _scale_row_gf2e(prow, c, t, field)
-        rank += 1
-    return rank
-
-
-def _scale_row_gf2e(row: int, c: int, t: int, field: FieldSpec) -> int:
-    e = field.e
-    mask = (1 << e) - 1
-    mul = field.mul
-    out = 0
-    for col in range(t):
-        v = (row >> (e * col)) & mask
-        if v:
-            out |= mul(c, v) << (e * col)
-    return out
 
 
 def rank_table(params: SchemeParams, field: FieldSpec) -> bytearray | None:
@@ -716,71 +720,103 @@ def weight_distribution(code: LinearCode,
     for j < e (the element x^j is the integer p^j), in modular p-ary Gray
     order (Knuth, TAOCP 4A, 7.2.1.1): step s = 1..q^k - 1 adds basis vector
     number v_p(s), the p-adic valuation of s.  Each word is the previous
-    one plus one vector, updated in place on that vector's support, and
-    the packed base-q index moves with it for the rank-table lookup;
-    without a table the word goes to the eliminator.  Memory is O(1) in
-    q^k: only the current word is held.
+    one plus one vector.  With a rank table the walk carries only the
+    packed base-q index (_walk_indices); without one it carries the matrix
+    itself and ranks it by symplectic pair pivots (_walk_ranks).  Memory
+    is O(1) in q^k: only the current word is held.
     """
     params, field = code.params, code.field
-    q, p = field.q, field.p
-    size = q**code.k
+    size = field.q**code.k
     if size > budget:
         raise EnumerationBudgetError(
             f"q^k = {size} exceeds the enumeration budget {budget}"
         )
     counts = [0] * (params.n + 1)
-    space = q**params.num_coords
-    tbl = None
+    counts[0] = 1  # the zero word
+    space = field.q**params.num_coords
     if space <= _RANK_TABLE_CAP and (
         space <= 64 * size or _rank_table_key(params, field) in _RANK_TABLES
     ):
         tbl = rank_table(params, field)
-    rank = _skew_ranker(params, field)
+        for idx in _walk_indices(params, field, code.basis_rows()):
+            counts[tbl[idx]] += 1
+    else:
+        for rank in _walk_ranks(params, field, code.basis_rows()):
+            counts[rank] += 1
+    return WeightDist(params, tuple(counts))
 
-    # per F_p-basis vector, per coordinate of its support: the coordinate,
-    # its new value and the change of the packed index, both by old value
-    add = field._add
-    steps = []
-    for row in code.basis_rows():
-        for j in range(field.e):
-            steps.append([
-                (c, add[g], [(add[g][v] - v) * q**c for v in range(q)])
-                for c, g in enumerate(field.mul(p**j, v) for v in row) if g
-            ])
-    word = [0] * params.num_coords
+
+def _fp_basis(field: FieldSpec, rows) -> list[list[int]]:
+    """Each row times x^j for j < e: the walk's F_p-basis of the span."""
+    mul = field._mul
+    return [[mul[field.p**j][v] for v in row]
+            for row in rows for j in range(field.e)]
+
+
+def _walk_indices(params: SchemeParams, field: FieldSpec, rows):
+    """Packed base-q index of each nonzero word of the span, in walk order."""
+    q, p, add = field.q, field.p, field._add
+    vectors = _fp_basis(field, rows)
     idx = 0
-    counts[0] = 1  # the zero word
-    for s in range(1, size):
-        r, m = 0, s
-        while not m % p:
-            m //= p
+    if p == 2:
+        # the index is the concatenation of the words' bits: a step is a XOR
+        vidx = [_pack(v, q) for v in vectors]
+        for s in range(1, 1 << len(vidx)):
+            idx ^= vidx[(s & -s).bit_length() - 1]
+            yield idx
+        return
+    # per vector, per coordinate of its support: the coordinate, its new
+    # value and the change of the packed index, both by old value
+    steps = [
+        [(c, add[g], [(add[g][v] - v) * q**c for v in range(q)])
+         for c, g in enumerate(vec) if g]
+        for vec in vectors
+    ]
+    word = [0] * params.num_coords
+    for s in range(1, p ** len(steps)):
+        r = 0
+        while not s % p:
+            s //= p
             r += 1
         for c, new, delta in steps[r]:
             old = word[c]
             word[c] = new[old]
             idx += delta[old]
-        counts[rank(word) if tbl is None else tbl[idx]] += 1
-    return WeightDist(params, tuple(counts))
+        yield idx
 
 
-def _skew_ranker(params: SchemeParams, field: FieldSpec):
-    """Skew rank of one word of upper-triangle coords, by elimination.
+def _walk_ranks(params: SchemeParams, field: FieldSpec, rows):
+    """Skew rank of each nonzero word of the span, in walk order.
 
-    The positions are laid out once here, not once per word.
+    The walk carries the matrix in _alt_rank's form: at q = 2 one int that
+    each step XORs with the vector's mask, at any other q t row lists that
+    each step updates at (i, j) and (j, i) on the vector's support.
     """
-    t = params.t
-    pos = upper_positions(t)
-    neg = field._neg
-
-    def rank(coords) -> int:
-        rows = [[0] * t for _ in range(t)]
-        for (i, j), v in zip(pos, coords):
-            if v:
-                rows[i][j] = v
-                rows[j][i] = neg[v]
-        return _rank_of_rows(rows, field) // 2
-
-    return rank
+    t, p = params.t, field.p
+    vectors = _fp_basis(field, rows)
+    if field.q == 2:
+        masks = [_alt_form(t, field, v) for v in vectors]
+        mat = 0
+        for s in range(1, 1 << len(masks)):
+            mat ^= masks[(s & -s).bit_length() - 1]
+            yield _alt_rank(mat, t, field)
+        return
+    add, neg = field._add, field._neg
+    mat = [[0] * t for _ in range(t)]
+    steps = [
+        [(mat[i], j, add[g], mat[j], i, add[neg[g]])
+         for (i, j), g in zip(upper_positions(t), vec) if g]
+        for vec in vectors
+    ]
+    for s in range(1, p ** len(steps)):
+        r = 0
+        while not s % p:
+            s //= p
+            r += 1
+        for row_i, j, up, row_j, i, down in steps[r]:
+            row_i[j] = up[row_i[j]]
+            row_j[i] = down[row_j[i]]
+        yield _alt_rank(mat, t, field)
 
 
 def min_distance(code: LinearCode, budget: int = DEFAULT_BUDGET) -> int:

@@ -20,8 +20,9 @@ from .gfcodes import (
     LinearCode,
     SchemeParams,
     WeightDist,
+    _alt_form,
+    _alt_rank,
     _pack,
-    _skew_ranker,
     full_space_code,
     make_field,
     min_distance,
@@ -186,8 +187,8 @@ def corollary_bounds(
 def delta_closed(q: int, lam: int, phi: int, j: int) -> Fraction:
     """sum_i [j,i] (-1)^i q^{2 sigma_i} gamma(lam-2i, phi), with its closed form.
 
-    Asserts the sum equals gamma(2 phi, j) gamma(lam-2j, phi-j) q^{j(lam-2j)}
-    and returns the value.
+    Raises ArithmeticError unless the sum equals
+    gamma(2 phi, j) gamma(lam-2j, phi-j) q^{j(lam-2j)}; returns the value.
     """
     if phi < 0 or j < 0:
         raise ValueError("phi and j must be >= 0")
@@ -204,18 +205,19 @@ def delta_closed(q: int, lam: int, phi: int, j: int) -> Fraction:
         closed = Fraction(0)
     else:
         closed = lead * gamma(q, lam - 2 * j, phi - j) * _qpow(q, j * (lam - 2 * j))
-    assert total == closed, (
-        f"delta({lam},{phi},{j}) mismatch: sum {total}, closed {closed}"
-    )
+    if total != closed:
+        raise ArithmeticError(
+            f"delta({lam},{phi},{j}) mismatch: sum {total}, closed {closed}"
+        )
     return total
 
 
 def epsilon_closed(q: int, lam_big: int, phi: int, i: int) -> Fraction:
     """The epsilon alternating sum with its closed form.
 
-    Asserts sum_l [i,l][lam_big-i, phi-l] q^{2l(lam_big-phi)} (-1)^l
-    q^{2 sigma_l} gamma(2(phi-l), i-l) equals
-    (-1)^i q^{2 sigma_i} [lam_big-i, lam_big-phi], and returns the value.
+    Raises ArithmeticError unless sum_l [i,l][lam_big-i, phi-l]
+    q^{2l(lam_big-phi)} (-1)^l q^{2 sigma_l} gamma(2(phi-l), i-l) equals
+    (-1)^i q^{2 sigma_i} [lam_big-i, lam_big-phi]; returns the value.
     """
     if phi < 0 or i < 0:
         raise ValueError("phi and i must be >= 0")
@@ -235,9 +237,10 @@ def epsilon_closed(q: int, lam_big: int, phi: int, i: int) -> Fraction:
     closed = (
         (-1) ** i * q ** (2 * sigma(i)) * _gauss0(q, lam_big - i, lam_big - phi)
     )
-    assert total == closed, (
-        f"epsilon({lam_big},{phi},{i}) mismatch: sum {total}, closed {closed}"
-    )
+    if total != closed:
+        raise ArithmeticError(
+            f"epsilon({lam_big},{phi},{i}) mismatch: sum {total}, closed {closed}"
+        )
     return total
 
 
@@ -279,7 +282,7 @@ def msrd_distribution(params: SchemeParams, d: int) -> WeightDist:
     """Weight distribution forced on any linear code attaining the bound.
 
     d = n+1 encodes the zero code (the dual edge of d = 1).  The counts sum
-    to q^{m(n-d+1)} and are asserted to be nonnegative integers.
+    to q^{m(n-d+1)}; a non-integral or negative one raises ArithmeticError.
     """
     q, n, m = params.q, params.n, params.m
     if not 1 <= d <= n + 1:
@@ -297,12 +300,14 @@ def msrd_distribution(params: SchemeParams, d: int) -> WeightDist:
                 * gauss(q, n, d + r)
                 * (size * _qpow(q, m * (d + i - n)) - 1)
             )
-        assert val.denominator == 1 and val >= 0, (
-            f"msrd coefficient c_{d + r} = {val} is not a nonnegative integer"
-        )
+        if val.denominator != 1 or val < 0:
+            raise ArithmeticError(
+                f"msrd coefficient c_{d + r} = {val} is not a nonnegative integer"
+            )
         counts[d + r] = int(val)
     dist = WeightDist(params, tuple(counts))
-    assert dist.size == size, f"msrd distribution sums to {dist.size}, not {size}"
+    if dist.size != size:
+        raise ArithmeticError(f"msrd distribution sums to {dist.size}, not {size}")
     return dist
 
 
@@ -335,13 +340,14 @@ def find_msrd(
 
     ncoords = params.num_coords
     tbl = rank_table(params, field)
-    rank = _skew_ranker(params, field)
 
     def rank_of(word: tuple[int, ...]) -> int:
-        return rank(word) if tbl is None else tbl[_pack(word, q)]
+        if tbl is None:
+            return _alt_rank(_alt_form(params.t, field, word), params.t, field)
+        return tbl[_pack(word, q)]
 
     rng = random.Random(seed)
-    add, mul = field.add, field.mul
+    add, mul = field._add, field._mul
     samples = 0
     while samples < budget:
         basis: list[tuple[int, ...]] = []
@@ -352,9 +358,9 @@ def find_msrd(
             samples += 1
             if not any(cand):
                 continue
-            scaled = [tuple(mul(c, v) for v in cand) for c in range(1, q)]
+            scaled = [[mul[c][v] for v in cand] for c in range(1, q)]
             new_words = [
-                tuple(add(a, b) for a, b in zip(w, s))
+                tuple([add[a][b] for a, b in zip(w, s)])
                 for s in scaled
                 for w in span
             ]
@@ -368,8 +374,8 @@ def find_msrd(
                     break  # restart from scratch
         if len(basis) == k_target:
             code = LinearCode.from_spanning(params, field, basis)
-            assert code.k == k_target
-            assert min_distance(code, enum_budget) == d
+            if code.k != k_target or min_distance(code, enum_budget) != d:
+                raise ArithmeticError(f"find_msrd built a non-MSRD code {code}")
             return code
     return None
 

@@ -64,17 +64,18 @@ def q_inv_derivative(p: HPoly, phi: int) -> HPoly:
 def eval_nu_derivative_at_ones(q: int, j: int, l: int) -> Fraction:
     """Value of the l-th X-derivative of nu^[j] at X = Y = 1.
 
-    Computes the value through the derivative pipeline and asserts it equals
-    beta(j,j) * delta_{jl} before returning it.
+    Computes the value through the derivative pipeline and raises
+    ArithmeticError unless it equals beta(j,j) * delta_{jl}.
     """
     if not (0 <= l <= j):
         raise ValueError(f"need 0 <= l={l} <= j={j}")
     deriv = q_derivative(nu_power(q, j), l)
     value = evaluate(deriv, 1, 1, 0)
     expected = beta(q, j, j) if j == l else Fraction(0)
-    assert value == expected, (
-        f"nu^[{j}] derivative order {l} at (1,1): got {value}, expected {expected}"
-    )
+    if value != expected:
+        raise ArithmeticError(
+            f"nu^[{j}] derivative order {l} at (1,1): got {value}, expected {expected}"
+        )
     return value
 
 

@@ -18,15 +18,11 @@ def factor_prime_power(q: int) -> tuple[int, int]:
     if q < 2:
         raise ValueError(f"q={q} is not a prime power (need q >= 2)")
     n = q
-    p = None
-    for cand in range(2, n + 1):
-        if cand * cand > n:
-            p = n
-            break
-        if n % cand == 0:
-            p = cand
-            break
-    assert p is not None
+    p = 2
+    while p * p <= n and n % p:
+        p += 1
+    if n % p:
+        p = n  # no factor up to sqrt(q): q is prime
     e = 0
     while n > 1:
         if n % p != 0:
@@ -134,7 +130,7 @@ def xi(params: SchemeParams, s: int) -> int:
     """Number of t x t alternating matrices over F_q with skew rank s.
 
     Carlitz product form; 0 outside 0 <= s <= n.  Always a nonnegative
-    integer (asserted, not assumed).
+    integer (checked, not assumed: ArithmeticError otherwise).
     """
     if s < 0 or s > params.n:
         return 0
@@ -146,5 +142,6 @@ def xi(params: SchemeParams, s: int) -> int:
     for i in range(1, s + 1):
         den *= q ** (2 * i) - 1
     count, rem = divmod(num, den)
-    assert rem == 0 and count >= 0, f"xi({params}, {s}) is not a nonnegative integer"
+    if rem or count < 0:
+        raise ArithmeticError(f"xi({params}, {s}) is not a nonnegative integer")
     return count

@@ -26,6 +26,7 @@ from skewrank.gfcodes import (
     weight_distribution,
     zero_code,
 )
+from skewrank.gfcodes import _alt_form, _alt_rank, _build_rank_table
 from skewrank.qcombinat import SchemeParams, xi
 
 
@@ -224,6 +225,56 @@ class TestSkewRank:
                 ]
                 upper = tuple(B[i][j] for i, j in upper_positions(t))
                 assert skew_rank(SkewMat(p, f, upper)) == skew_rank(m)
+
+
+def alt_rank_input(m):
+    """The matrix in _alt_rank's form: a t*t-bit int at q=2, else rows."""
+    t = m.params.t
+    if m.field.q != 2:
+        return m.full_matrix()
+    return sum(
+        1 << t * i + j | 1 << t * j + i
+        for (i, j), v in zip(upper_positions(t), m.upper) if v
+    )
+
+
+class TestAltRank:
+    @pytest.mark.parametrize("q", (2, 3, 4, 5, 7, 8, 9))
+    def test_matches_skew_rank(self, q):
+        rng = random.Random(100 + q)
+        f = make_field(q)
+        for t in range(2, 9):
+            p = SchemeParams(q, t)
+            ncoords = p.num_coords
+            canonical = [0] * ncoords  # diag{E2 x (t // 2), 0}
+            for i in range(0, t - 1, 2):
+                canonical[upper_positions(t).index((i, i + 1))] = 1
+            uppers = [(0,) * ncoords, tuple(canonical)]
+            for density in (1.0, 0.5, 0.15):
+                uppers += [
+                    tuple(
+                        rng.randrange(1, q) if rng.random() < density else 0
+                        for _ in range(ncoords)
+                    )
+                    for _ in range(40)
+                ]
+            for upper in uppers:
+                m = SkewMat(p, f, upper)
+                mat = alt_rank_input(m)
+                want = skew_rank(m)
+                assert _alt_rank(mat, t, f) == want, (q, t, upper)
+                assert mat == alt_rank_input(m)  # the input is not mutated
+                assert _alt_form(t, f, upper) == mat
+            assert skew_rank(SkewMat(p, f, tuple(canonical))) == t // 2
+
+    @pytest.mark.parametrize("q,t", [(2, 4), (2, 5), (3, 4), (4, 4), (5, 4)])
+    def test_table_build_matches_skew_rank(self, q, t):
+        p, f = SchemeParams(q, t), make_field(q)
+        want = bytearray()
+        for coords in itertools.product(range(q), repeat=p.num_coords):
+            # the packed index is little-endian: coordinate 0 varies fastest
+            want.append(skew_rank(SkewMat(p, f, coords[::-1])))
+        assert _build_rank_table(p, f) == want
 
 
 def _dot(f, xs, ys, t):
@@ -517,6 +568,8 @@ class TestEnumerationPaths:
             monkeypatch.setattr(g, "_RANK_TABLE_CAP", 0)
         rng = random.Random(57)
         cases = [(q, 4) for q in (2, 3, 4, 5, 7, 8, 9)] + [(2, 5), (3, 5)]
+        if mode == "no-table":
+            cases += [(2, 6), (2, 7), (2, 8)]  # q=2 matrices of 36-64 bits
         for q, t in cases:
             p, f = SchemeParams(q, t), make_field(q)
             # a stand-in table checks every packed index the walk looks up

@@ -263,6 +263,16 @@ class TestFindMsrd:
         assert a is not None and b is not None
         assert a.basis_rows() == b.basis_rows()
 
+    def test_seed_0_basis_is_pinned(self):
+        # any change to the search's RNG draws or word order shows here
+        assert find_msrd(P25, 2, seed=0).basis_rows() == [
+            (1, 0, 0, 0, 0, 0, 1, 1, 0, 0),
+            (0, 1, 0, 0, 0, 0, 0, 0, 1, 1),
+            (0, 0, 1, 0, 0, 0, 1, 0, 1, 1),
+            (0, 0, 0, 1, 0, 1, 1, 0, 0, 1),
+            (0, 0, 0, 0, 1, 1, 0, 1, 1, 0),
+        ]
+
     def test_d_out_of_range(self):
         with pytest.raises(ValueError):
             find_msrd(P24, 3)
