@@ -12,9 +12,9 @@ distribution matches.
 import argparse
 import sys
 
-from skewrank.gfcodes import dual, min_distance, weight_distribution
-from skewrank.moments import find_msrd, msrd_distribution
+from skewrank.gfcodes import dual, min_distance
 from skewrank.qcombinat import SchemeParams
+from skewrank.selftest import msrd_searches
 
 
 def main() -> int:
@@ -28,19 +28,19 @@ def main() -> int:
         q, t = (int(x) for x in pair.split(","))
         params = SchemeParams(q, t)
         print(f"q={q} t={t} (n={params.n}, m={params.m})")
-        for d in range(1, params.n + 1):
-            forced = msrd_distribution(params, d)
+        searches = msrd_searches(
+            params, range(1, params.n + 1), args.seed, args.budget
+        )
+        for d, forced, code, found in searches:
             print(f"  d={d}: forced distribution {forced.counts} "
                   f"(size {forced.size})")
-            code = find_msrd(params, d, budget=args.budget, seed=args.seed)
             if code is None:
                 print("        search: no code found within budget")
                 continue
-            got = weight_distribution(code)
-            match = "matches" if got.counts == forced.counts else "MISMATCH"
+            match = "matches" if found == forced else "MISMATCH"
             d_dual = min_distance(dual(code)) if dual(code).k else None
             print(f"        search: found k={code.k}, distribution "
-                  f"{got.counts} ({match}); dual min distance {d_dual}")
+                  f"{found.counts} ({match}); dual min distance {d_dual}")
     return 0
 
 

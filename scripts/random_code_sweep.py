@@ -14,10 +14,7 @@ import random
 import sys
 import time
 
-from skewrank.gfcodes import make_field, random_code
-from skewrank.macwilliams import verify_code
-from skewrank.moments import check_first_moment, check_second_moment
-from skewrank.qcombinat import SchemeParams
+from skewrank.selftest import random_code_sweep
 
 DEFAULT_PAIRS = ["2,4", "2,5", "2,6", "3,4", "3,5"]
 
@@ -36,24 +33,10 @@ def main() -> int:
     failures = 0
     for pair in args.pairs:
         q, t = (int(x) for x in pair.split(","))
-        params = SchemeParams(q, t)
-        field = make_field(q)
         start = time.perf_counter()
         verified = 0
-        for _ in range(args.count):
-            k = rng.randint(1, params.num_coords - 1)
-            code = random_code(params, field, k, rng)
-            rep = verify_code(code)
-            moment_ok = True
-            for phi in range(params.n + 1):
-                l1, r1 = check_first_moment(
-                    rep.dist, rep.dual_dist_enum, phi, params
-                )
-                l2, r2 = check_second_moment(
-                    rep.dist, rep.dual_dist_enum, phi, code.k, params
-                )
-                moment_ok = moment_ok and l1 == r1 and l2 == r2
-            if rep.verdict and moment_ok:
+        for code, rep, ok in random_code_sweep(rng, [(q, t)], args.count):
+            if ok:
                 verified += 1
             else:
                 failures += 1

@@ -306,38 +306,9 @@ class SkewMat:
         return f"SkewMat(q={self.params.q}, t={self.params.t}, {self.upper})"
 
 
-def _rank_of_rows(rows: list[list[int]], field: FieldSpec) -> int:
-    """Rank by Gaussian elimination; mutates its argument."""
-    nrows = len(rows)
-    ncols = len(rows[0]) if rows else 0
-    sub, mul, inv = field.sub, field.mul, field.inv
-    rank = 0
-    for col in range(ncols):
-        piv = None
-        for r in range(rank, nrows):
-            if rows[r][col]:
-                piv = r
-                break
-        if piv is None:
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        prow = rows[rank]
-        c = prow[col]
-        if c != 1:
-            ic = inv(c)
-            rows[rank] = prow = [mul(ic, v) for v in prow]
-        for r in range(rank + 1, nrows):
-            c = rows[r][col]
-            if c:
-                rr = rows[r]
-                rows[r] = [sub(a, mul(c, b)) for a, b in zip(rr, prow)]
-        rank += 1
-    return rank
-
-
 def skew_rank(a: SkewMat) -> int:
     """Half the column rank of the full matrix; the rank is always even."""
-    rank = _rank_of_rows(a.full_matrix(), a.field)
+    rank = len(_rref(a.full_matrix(), a.field)[1])
     if rank % 2:
         raise ArithmeticError(f"alternating matrix with odd rank {rank}")
     return rank // 2
@@ -827,7 +798,7 @@ def min_distance(code: LinearCode, budget: int = DEFAULT_BUDGET) -> int:
     for i in range(1, len(dist.counts)):
         if dist.counts[i]:
             return i
-    raise AssertionError("nonzero code with no nonzero codeword")
+    raise ArithmeticError("nonzero code with no nonzero codeword")
 
 
 def diameter(code: LinearCode, budget: int = DEFAULT_BUDGET) -> int:

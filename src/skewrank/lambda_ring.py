@@ -108,9 +108,6 @@ class LambdaScalar:
     def is_zero(self) -> bool:
         return not self._terms
 
-    def is_constant(self) -> bool:
-        return set(self._terms) <= {0}
-
     def terms(self) -> dict[int, Fraction]:
         return dict(self._terms)
 

@@ -18,15 +18,21 @@ from .krawtchouk import p_matrix
 from .qcombinat import SchemeParams
 
 
-def _as_counts(w: WeightDist | list[int] | tuple[int, ...],
+def _as_counts(w: WeightDist | list[int] | tuple[int, ...], code_size: int,
                params: SchemeParams) -> tuple[int, ...]:
     if isinstance(w, WeightDist):
         if w.params != params:
             raise ValueError("distribution and params disagree")
-        return w.counts
-    counts = tuple(int(c) for c in w)
-    if len(counts) != params.n + 1:
-        raise ValueError(f"distribution must have length {params.n + 1}")
+        counts = w.counts
+    else:
+        counts = tuple(int(c) for c in w)
+        if len(counts) != params.n + 1:
+            raise ValueError(f"distribution must have length {params.n + 1}")
+    if sum(counts) != code_size:
+        raise ValueError(
+            f"distribution sums to {sum(counts)}, not the stated size "
+            f"{code_size}"
+        )
     return counts
 
 
@@ -47,12 +53,7 @@ def _finalize(raw: list[int] | list[Fraction], code_size: int,
 def transform_matrix(w: WeightDist | list[int], code_size: int,
                      params: SchemeParams) -> WeightDist:
     """Dual distribution via the eigenmatrix: c' = (1/|C|) c P."""
-    counts = _as_counts(w, params)
-    if sum(counts) != code_size:
-        raise ValueError(
-            f"distribution sums to {sum(counts)}, not the stated size "
-            f"{code_size}"
-        )
+    counts = _as_counts(w, code_size, params)
     raw = p_matrix(params).transform(list(counts))
     return _finalize(raw, code_size, params)
 
@@ -71,12 +72,7 @@ def transform_functional(w: WeightDist | list[int], code_size: int,
     lambda = m, and divides by the code size.  Must agree exactly with
     transform_matrix; the two are computed independently.
     """
-    counts = _as_counts(w, params)
-    if sum(counts) != code_size:
-        raise ValueError(
-            f"distribution sums to {sum(counts)}, not the stated size "
-            f"{code_size}"
-        )
+    counts = _as_counts(w, code_size, params)
     q, n, m = params.q, params.n, params.m
     raw = [Fraction(0)] * (n + 1)
     for i, c in enumerate(counts):

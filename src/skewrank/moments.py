@@ -10,6 +10,7 @@ codes attaining the Singleton-type bound.
 from __future__ import annotations
 
 import random
+from collections.abc import Iterable
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -44,6 +45,40 @@ def _gauss0(q: int, x: int, k: int) -> Fraction:
 # ---------------------------------------------------------------------------
 
 
+def _first_sum(counts, phi: int, q: int, n: int) -> Fraction:
+    """sum_{i<=n-phi} [n-i, phi] c_i."""
+    return sum(
+        (gauss(q, n - i, phi) * counts[i] for i in range(n - phi + 1)),
+        Fraction(0),
+    )
+
+
+def _second_sum(counts, phi: int, q: int, n: int) -> Fraction:
+    """sum_{i>=phi} q^{2 phi (n-i)} [i, phi] c_i."""
+    return sum(
+        (
+            q ** (2 * phi * (n - i)) * gauss(q, i, phi) * counts[i]
+            for i in range(phi, n + 1)
+        ),
+        Fraction(0),
+    )
+
+
+def _gamma_sum(counts, phi: int, q: int, n: int, m: int) -> Fraction:
+    """The alternating sum over i <= phi of
+    (-1)^i q^{2 sigma_i + 2i(phi-i)} [n-i, n-phi] gamma(m-2i, phi-i) c_i."""
+    total = Fraction(0)
+    for i in range(phi + 1):
+        total += (
+            (-1) ** i
+            * q ** (2 * sigma(i) + 2 * i * (phi - i))
+            * gauss(q, n - i, n - phi)
+            * gamma(q, m - 2 * i, phi - i)
+            * counts[i]
+        )
+    return total
+
+
 def check_first_moment(
     w: WeightDist, w_dual: WeightDist, phi: int, params: SchemeParams
 ) -> tuple[Fraction, Fraction]:
@@ -57,16 +92,10 @@ def check_first_moment(
         raise ValueError(f"phi={phi} out of range 0..{n}")
     if w.size * w_dual.size != q ** (m * n):
         raise ValueError("sizes do not multiply to the whole space")
-    lhs = sum(
-        (gauss(q, n - i, phi) * w.counts[i] for i in range(n - phi + 1)),
-        Fraction(0),
-    )
-    rhs = sum(
-        (gauss(q, n - i, n - phi) * w_dual.counts[i] for i in range(phi + 1)),
-        Fraction(0),
-    )
+    # the dual side is the same sum at n - phi
+    rhs = _first_sum(w_dual.counts, n - phi, q, n)
     rhs *= Fraction(q ** (m * (n - phi)), w_dual.size)
-    return lhs, rhs
+    return _first_sum(w.counts, phi, q, n), rhs
 
 
 def check_second_moment(
@@ -87,24 +116,8 @@ def check_second_moment(
         raise ValueError(f"phi={phi} out of range 0..{n}")
     if q**k_dim != w.size:
         raise ValueError(f"q^{k_dim} != code size {w.size}")
-    lhs = sum(
-        (
-            q ** (2 * phi * (n - i)) * gauss(q, i, phi) * w.counts[i]
-            for i in range(phi, n + 1)
-        ),
-        Fraction(0),
-    )
-    rhs = Fraction(0)
-    for i in range(phi + 1):
-        rhs += (
-            (-1) ** i
-            * q ** (2 * sigma(i) + 2 * i * (phi - i))
-            * gauss(q, n - i, n - phi)
-            * gamma(q, m - 2 * i, phi - i)
-            * w_dual.counts[i]
-        )
-    rhs *= _qpow(q, k_dim - m * phi)
-    return lhs, rhs
+    rhs = _gamma_sum(w_dual.counts, phi, q, n, m) * _qpow(q, k_dim - m * phi)
+    return _second_sum(w.counts, phi, q, n), rhs
 
 
 @dataclass(frozen=True)
@@ -117,6 +130,19 @@ class MomentCheck:
     @property
     def ok(self) -> bool:
         return self.lhs == self.rhs
+
+
+def moment_checks(w: WeightDist, w_dual: WeightDist, k_dim: int,
+                  phis: Iterable[int], params: SchemeParams) -> list[MomentCheck]:
+    """The first and then the second moment identity at each phi in turn."""
+    return [
+        MomentCheck(name, phi, *sides)
+        for phi in phis
+        for name, sides in (
+            ("first_moment", check_first_moment(w, w_dual, phi, params)),
+            ("second_moment", check_second_moment(w, w_dual, phi, k_dim, params)),
+        )
+    ]
 
 
 def corollary_bounds(
@@ -146,33 +172,16 @@ def corollary_bounds(
     checks: list[MomentCheck] = []
     for phi in range(n + 1):
         if d_dual is None or phi < d_dual:
-            lhs = sum(
-                (gauss(q, n - i, phi) * w.counts[i] for i in range(n - phi + 1)),
-                Fraction(0),
-            )
+            lhs = _first_sum(w.counts, phi, q, n)
             rhs = Fraction(q ** (m * (n - phi)), dual_size) * gauss(q, n, phi)
             checks.append(MomentCheck("first_moment_low_phi", phi, lhs, rhs))
-            lhs2 = sum(
-                (
-                    q ** (2 * phi * (n - i)) * gauss(q, i, phi) * w.counts[i]
-                    for i in range(phi, n + 1)
-                ),
-                Fraction(0),
-            )
+            lhs2 = _second_sum(w.counts, phi, q, n)
             rhs2 = (
                 _qpow(q, k_dim - m * phi) * gauss(q, n, phi) * gamma(q, m, phi)
             )
             checks.append(MomentCheck("second_moment_low_phi", phi, lhs2, rhs2))
         if diameter_dual < phi <= n:
-            lhs3 = Fraction(0)
-            for i in range(phi + 1):
-                lhs3 += (
-                    (-1) ** i
-                    * q ** (2 * sigma(i) + 2 * i * (phi - i))
-                    * gauss(q, n - i, n - phi)
-                    * gamma(q, m - 2 * i, phi - i)
-                    * w.counts[i]
-                )
+            lhs3 = _gamma_sum(w.counts, phi, q, n, m)
             checks.append(
                 MomentCheck("second_moment_high_phi", phi, lhs3, Fraction(0))
             )
@@ -253,10 +262,7 @@ def forward_sequence(b: list[Fraction], l: int, q: int) -> list[Fraction]:
     """a_j = sum_{i<=j} [l-i, l-j] b_i for 0 <= j <= l."""
     if len(b) != l + 1:
         raise ValueError(f"need {l + 1} values, got {len(b)}")
-    return [
-        sum((gauss(q, l - i, l - j) * b[i] for i in range(j + 1)), Fraction(0))
-        for j in range(l + 1)
-    ]
+    return [_first_sum(b, l - j, q, l) for j in range(l + 1)]
 
 
 def invert_sequence(a: list[Fraction], l: int, q: int) -> list[Fraction]:

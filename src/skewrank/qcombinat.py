@@ -32,14 +32,6 @@ def factor_prime_power(q: int) -> tuple[int, int]:
     return p, e
 
 
-def is_prime_power(q: int) -> bool:
-    try:
-        factor_prime_power(q)
-    except ValueError:
-        return False
-    return True
-
-
 @dataclass(frozen=True)
 class SchemeParams:
     """Parameters (q, t) of the space of t x t alternating matrices over F_q.

@@ -1,14 +1,51 @@
 import json
+import os
+import random
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+from skewrank import macwilliams, selftest
 from skewrank.cli import main
+from skewrank.gfcodes import WeightDist
 
 REPO = Path(__file__).resolve().parents[1]
 EXAMPLE = str(REPO / "data" / "example_q3_t4.skc")
+SRC_ENV = {
+    **os.environ,
+    "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(REPO / "src"), os.environ.get("PYTHONPATH")])
+    ),
+}
+
+SELFTEST_CHECKS = [
+    "gauss_identities",
+    "xi_sums",
+    "lambda_ring",
+    "mu_nu_powers",
+    "omega_3_4",
+    "krawtchouk_equivalences",
+    "leibniz_q_derivative",
+    "nu_derivative_delta",
+    "example_code_pipeline",
+    "random_code_sweep",
+    "delta_epsilon_lemmas",
+    "msrd_distribution_and_search",
+    "sequence_inversion",
+]
+
+
+def run_process(*argv):
+    return subprocess.run(
+        [sys.executable, *argv],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        env=SRC_ENV,
+        cwd=REPO,
+    )
 
 
 def run_cli(capsys, *argv):
@@ -111,6 +148,36 @@ class TestSubcommands:
         phi1 = next(c for c in first if c["phi"] == 1)
         assert phi1["lhs"] == "54"
 
+    def test_moments_full_json(self, capsys):
+        def check(name, phi, lhs):
+            return {"name": name, "phi": phi, "lhs": lhs, "rhs": lhs, "ok": True}
+
+        code, out = run_cli(capsys, "moments", "--code", EXAMPLE)
+        assert code == 0
+        assert json.loads(out) == {
+            "q": 3,
+            "t": 4,
+            "k": 4,
+            "dist": ["1", "44", "36"],
+            "dual_dist": ["1", "8", "0"],
+            "checks": [
+                check("first_moment", 0, "81"),
+                check("second_moment", 0, "81"),
+                check("first_moment", 1, "54"),
+                check("second_moment", 1, "756"),
+                check("first_moment", 2, "1"),
+                check("second_moment", 2, "36"),
+                check("first_moment_low_phi", 0, "81"),
+                check("second_moment_low_phi", 0, "81"),
+                check("second_moment_high_phi", 2, "0"),
+            ],
+            "ok": True,
+        }
+
+    def test_moments_phi_out_of_range(self, capsys):
+        code, _ = run_cli(capsys, "moments", "--code", EXAMPLE, "--phi", "9")
+        assert code == 2
+
     def test_moments_single_phi(self, capsys):
         code, out = run_cli(capsys, "moments", "--code", EXAMPLE, "--phi", "1")
         assert code == 0
@@ -161,6 +228,37 @@ class TestSubcommands:
         assert code == 2
 
 
+class TestFlags:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["wdist", "--code", EXAMPLE, "--seed", "1"],
+            ["krawtchouk", "--q", "3", "--t", "4", "--code", EXAMPLE],
+            ["dual", "--code", EXAMPLE, "--budget", "10"],
+            ["selftest", "--phi", "1"],
+        ],
+    )
+    def test_flag_of_another_subcommand_is_usage_error(self, capsys, argv):
+        code, out = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["krawtchouk", "--t", "4"],
+            ["omega", "--q", "3"],
+            ["msrd-dist", "--q", "2", "--t", "4"],
+            ["msrd-find", "--q", "2", "--t", "5"],
+            ["moments"],
+        ],
+    )
+    def test_missing_required_flag_is_usage_error(self, capsys, argv):
+        code, out = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+
+
 class TestSelftestCommand:
     def test_selftest_passes(self, capsys):
         code, out = run_cli(capsys, "selftest")
@@ -168,6 +266,29 @@ class TestSelftestCommand:
         data = json.loads(out)
         assert data["ok"] is True
         assert all(c["ok"] for c in data["checks"])
+
+    def test_selftest_check_names(self, capsys):
+        _, out = run_cli(capsys, "selftest")
+        assert [c["name"] for c in json.loads(out)["checks"]] == SELFTEST_CHECKS
+
+    def test_selftest_reports_a_wrong_route(self, capsys, monkeypatch):
+        # the functional transform miscounts the zero word
+        real = macwilliams.transform_functional
+
+        def off_by_one(w, size, params):
+            got = real(w, size, params)
+            return WeightDist(got.params, (got.counts[0] + 1, *got.counts[1:]))
+
+        monkeypatch.setattr(macwilliams, "transform_functional", off_by_one)
+        sweep = list(selftest.random_code_sweep(random.Random(0)))
+        assert sweep and not any(ok for *_, ok in sweep)
+        code, out = run_cli(capsys, "selftest")
+        assert code == 1
+        data = json.loads(out)
+        assert data["ok"] is False
+        checks = {c["name"]: c["ok"] for c in data["checks"]}
+        assert checks["random_code_sweep"] is False
+        assert checks["gauss_identities"] is True
 
 
 class TestProcessInvocation:
@@ -180,3 +301,27 @@ class TestProcessInvocation:
         )
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["dist"] == ["1", "44", "36"]
+
+    def test_selftest_under_optimize(self):
+        # python -O strips asserts; the checks must not depend on them
+        proc = run_process("-O", "-m", "skewrank.cli", "selftest")
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout)["ok"] is True
+
+
+class TestScripts:
+    def test_random_code_sweep(self):
+        proc = run_process(
+            "scripts/random_code_sweep.py", "--pairs", "2,4", "--count", "2"
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.startswith("q=2 t=4: 2/2 codes verified")
+        assert proc.stdout.splitlines()[-1] == "all codes verified"
+
+    def test_msrd_census(self):
+        proc = run_process("scripts/msrd_census.py", "--pairs", "2,4")
+        assert proc.returncode == 0, proc.stderr
+        lines = proc.stdout.splitlines()
+        assert lines[1] == "  d=1: forced distribution (1, 35, 28) (size 64)"
+        assert "(matches)" in lines[2]
+        assert lines[-1] == "        search: no code found within budget"

@@ -174,7 +174,7 @@ class TestSkewRank:
         # an explicit raise, so the parity check also holds under python -O
         import skewrank.gfcodes as g
 
-        monkeypatch.setattr(g, "_rank_of_rows", lambda rows, field: 3)
+        monkeypatch.setattr(g, "_rref", lambda rows, field: (rows[:3], [0, 1, 2]))
         m = SkewMat(SchemeParams(3, 4), make_field(3), (1, 0, 0, 0, 0, 0))
         with pytest.raises(ArithmeticError, match="odd rank 3"):
             skew_rank(m)
