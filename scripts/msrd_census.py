@@ -13,6 +13,7 @@ import argparse
 import sys
 
 from skewrank.gfcodes import dual, min_distance
+from skewrank.moments import SEARCH_BUDGET
 from skewrank.qcombinat import SchemeParams
 from skewrank.selftest import msrd_searches
 
@@ -20,7 +21,7 @@ from skewrank.selftest import msrd_searches
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--pairs", nargs="*", default=["2,4", "2,5", "3,4"])
-    ap.add_argument("--budget", type=int, default=20000)
+    ap.add_argument("--budget", type=int, default=SEARCH_BUDGET)
     ap.add_argument("--seed", type=int, default=0)
     args = ap.parse_args()
 
@@ -38,7 +39,8 @@ def main() -> int:
                 print("        search: no code found within budget")
                 continue
             match = "matches" if found == forced else "MISMATCH"
-            d_dual = min_distance(dual(code)) if dual(code).k else None
+            dcode = dual(code)
+            d_dual = min_distance(dcode) if dcode.k else None
             print(f"        search: found k={code.k}, distribution "
                   f"{found.counts} ({match}); dual min distance {d_dual}")
     return 0

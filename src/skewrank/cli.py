@@ -112,18 +112,15 @@ def cmd_moments(args: argparse.Namespace) -> int:
     code = _load_code(args.code)
     params = code.params
     dist = gfcodes.weight_distribution(code, args.budget)
-    dcode = gfcodes.dual(code)
-    ddist = gfcodes.weight_distribution(dcode, args.budget)
+    ddist = gfcodes.weight_distribution(gfcodes.dual(code), args.budget)
     phis = range(params.n + 1) if args.phi is None else [args.phi]
     checks = moments.moment_checks(dist, ddist, code.k, phis, params)
-    d_dual = None
-    if dcode.k > 0:
-        d_dual = gfcodes.min_distance(dcode, args.budget)
+    # the dual's minimum distance (None for the zero code) and diameter
+    present = [i for i, c in enumerate(ddist.counts) if c]
+    d_dual = present[1] if len(present) > 1 else None
     checks += [
         chk
-        for chk in moments.corollary_bounds(
-            dist, params, d_dual, gfcodes.diameter(dcode, args.budget)
-        )
+        for chk in moments.corollary_bounds(dist, params, d_dual, present[-1])
         if chk.phi in phis
     ]
     ok = all(chk.ok for chk in checks)
@@ -251,6 +248,8 @@ def build_parser() -> argparse.ArgumentParser:
             help="output format (default json)",
         )
         p.set_defaults(func=fn)
+    # msrd-find's budget counts candidate samples, not words
+    sub.choices["msrd-find"].set_defaults(budget=moments.SEARCH_BUDGET)
     return parser
 
 

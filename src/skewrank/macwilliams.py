@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .gfcodes import LinearCode, WeightDist, dual, weight_distribution
+from .gfcodes import DEFAULT_BUDGET, LinearCode, WeightDist, dual, weight_distribution
 from .homopoly import HPoly, mu_power, nu_power, skew_q_product
 from .krawtchouk import p_matrix
 from .qcombinat import SchemeParams
@@ -133,11 +133,8 @@ class VerifyReport:
         }
 
 
-def verify_code(code: LinearCode, budget: int | None = None) -> VerifyReport:
+def verify_code(code: LinearCode, budget: int = DEFAULT_BUDGET) -> VerifyReport:
     """Run all three dual-distribution routes and compare them entrywise."""
-    from .gfcodes import DEFAULT_BUDGET
-
-    budget = DEFAULT_BUDGET if budget is None else budget
     params = code.params
     w = weight_distribution(code, budget)
     dcode = dual(code)

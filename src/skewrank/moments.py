@@ -21,9 +21,8 @@ from .gfcodes import (
     LinearCode,
     SchemeParams,
     WeightDist,
-    _alt_form,
-    _alt_rank,
-    _pack,
+    _walk_indices,
+    _walk_ranks,
     full_space_code,
     make_field,
     min_distance,
@@ -31,6 +30,9 @@ from .gfcodes import (
     weight_distribution,
 )
 from .qcombinat import _qpow, gamma, gauss, sigma
+
+# Candidate samples find_msrd draws before it gives up.
+SEARCH_BUDGET = 20000
 
 
 def _gauss0(q: int, x: int, k: int) -> Fraction:
@@ -287,30 +289,25 @@ def invert_sequence(a: list[Fraction], l: int, q: int) -> list[Fraction]:
 def msrd_distribution(params: SchemeParams, d: int) -> WeightDist:
     """Weight distribution forced on any linear code attaining the bound.
 
-    d = n+1 encodes the zero code (the dual edge of d = 1).  The counts sum
-    to q^{m(n-d+1)}; a non-integral or negative one raises ArithmeticError.
+    d = n+1 encodes the zero code (the dual edge of d = 1).  The dual has
+    minimum distance n-d+2, so the first moments at phi <= n-d see only its
+    zero word; invert_sequence solves the triangular system they form for
+    c_d..c_n.  The counts sum to |C| = q^{m(n-d+1)}; a non-integral or
+    negative one raises ArithmeticError.
     """
     q, n, m = params.q, params.n, params.m
     if not 1 <= d <= n + 1:
         raise ValueError(f"d={d} out of range 1..{n + 1}")
     size = q ** (m * (n - d + 1))
-    counts = [0] * (n + 1)
-    counts[0] = 1
-    for r in range(n - d + 1):
-        val = Fraction(0)
-        for i in range(r + 1):
-            val += (
-                (-1) ** (r - i)
-                * q ** (2 * sigma(r - i))
-                * gauss(q, d + r, d + i)
-                * gauss(q, n, d + r)
-                * (size * _qpow(q, m * (d + i - n)) - 1)
-            )
+    # |C| q^{m(d+j-n)} = q^{m(j+1)}
+    low = [gauss(q, n, d + j) * (q ** (m * (j + 1)) - 1) for j in range(n - d + 1)]
+    counts = [1] + [0] * (d - 1)
+    for r, val in enumerate(invert_sequence(low, n - d, q)):
         if val.denominator != 1 or val < 0:
             raise ArithmeticError(
                 f"msrd coefficient c_{d + r} = {val} is not a nonnegative integer"
             )
-        counts[d + r] = int(val)
+        counts.append(int(val))
     dist = WeightDist(params, tuple(counts))
     if dist.size != size:
         raise ArithmeticError(f"msrd distribution sums to {dist.size}, not {size}")
@@ -320,7 +317,7 @@ def msrd_distribution(params: SchemeParams, d: int) -> WeightDist:
 def find_msrd(
     params: SchemeParams,
     d: int,
-    budget: int = 20000,
+    budget: int = SEARCH_BUDGET,
     seed: int = 0,
     field: FieldSpec | None = None,
     enum_budget: int = DEFAULT_BUDGET,
@@ -328,9 +325,10 @@ def find_msrd(
     """Seeded randomized search for a code attaining the Singleton-type bound.
 
     Greedy basis growth with early rejection: a candidate matrix joins the
-    basis only if every word it adds to the span keeps skew rank >= d.
-    Returns None once `budget` candidate samples are spent (existence is a
-    property of the parameters, not of this search).
+    basis only if every word of the grown span, walked as in
+    weight_distribution, keeps skew rank >= d (a candidate already in the
+    span walks the zero word).  Returns None once `budget` candidate samples
+    are spent (existence is a property of the parameters, not of this search).
     """
     q, n, m = params.q, params.n, params.m
     if not 1 <= d <= n:
@@ -347,32 +345,24 @@ def find_msrd(
     ncoords = params.num_coords
     tbl = rank_table(params, field)
 
-    def rank_of(word: tuple[int, ...]) -> int:
+    def ranks(rows):
         if tbl is None:
-            return _alt_rank(_alt_form(params.t, field, word), params.t, field)
-        return tbl[_pack(word, q)]
+            return _walk_ranks(params, field, rows)
+        return map(tbl.__getitem__, _walk_indices(params, field, rows))
 
     rng = random.Random(seed)
-    add, mul = field._add, field._mul
     samples = 0
     while samples < budget:
         basis: list[tuple[int, ...]] = []
-        span: list[tuple[int, ...]] = [tuple([0] * ncoords)]
         stuck = 0
         while len(basis) < k_target and samples < budget:
             cand = tuple(rng.randrange(q) for _ in range(ncoords))
             samples += 1
             if not any(cand):
                 continue
-            scaled = [[mul[c][v] for v in cand] for c in range(1, q)]
-            new_words = [
-                tuple([add[a][b] for a, b in zip(w, s)])
-                for s in scaled
-                for w in span
-            ]
-            if all(rank_of(w) >= d for w in new_words):
+            # cand first: at p = 2 every other word of the walk contains it
+            if all(r >= d for r in ranks([cand, *basis])):
                 basis.append(cand)
-                span += new_words
                 stuck = 0
             else:
                 stuck += 1

@@ -200,7 +200,8 @@ def closed_form_lemmas() -> bool:
     return True
 
 
-def msrd_searches(params: SchemeParams, ds, seed: int, budget: int = 20000):
+def msrd_searches(params: SchemeParams, ds, seed: int,
+                  budget: int = moments.SEARCH_BUDGET):
     """Yield (d, forced, code, found) for each distance d.
 
     forced is the distribution of any code attaining the bound, code what

@@ -1,3 +1,4 @@
+import inspect
 import json
 import os
 import random
@@ -7,8 +8,9 @@ from pathlib import Path
 
 import pytest
 
-from skewrank import macwilliams, selftest
-from skewrank.cli import main
+from skewrank import gfcodes, macwilliams, selftest
+from skewrank.cli import build_parser, main
+from skewrank.moments import find_msrd
 from skewrank.gfcodes import WeightDist
 
 REPO = Path(__file__).resolve().parents[1]
@@ -184,6 +186,19 @@ class TestSubcommands:
         data = json.loads(out)
         assert all(c["phi"] == 1 for c in data["checks"])
 
+    def test_moments_enumerates_each_side_once(self, capsys, monkeypatch):
+        real = gfcodes.weight_distribution
+        calls = []
+
+        def counted(code, *args, **kwargs):
+            calls.append(code.k)
+            return real(code, *args, **kwargs)
+
+        monkeypatch.setattr(gfcodes, "weight_distribution", counted)
+        code, out = run_cli(capsys, "moments", "--code", EXAMPLE)
+        assert code == 0 and json.loads(out)["ok"] is True
+        assert calls == [4, 2]
+
     def test_msrd_dist(self, capsys):
         code, out = run_cli(capsys, "msrd-dist", "--q", "2", "--t", "4", "--d", "2")
         assert code == 0
@@ -208,6 +223,12 @@ class TestSubcommands:
         )
         assert code == 3
         assert json.loads(out)["found"] is False
+
+    def test_msrd_find_default_budget(self):
+        args = build_parser().parse_args(
+            ["msrd-find", "--q", "2", "--t", "4", "--d", "2"]
+        )
+        assert args.budget == inspect.signature(find_msrd).parameters["budget"].default
 
     def test_msrd_find_determinism(self, capsys):
         _, out1 = run_cli(

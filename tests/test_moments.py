@@ -1,9 +1,11 @@
+import hashlib
 import random
 from fractions import Fraction
 from itertools import combinations
 
 import pytest
 
+from skewrank import gfcodes
 from skewrank.gfcodes import (
     dual,
     full_space_code,
@@ -25,11 +27,20 @@ from skewrank.moments import (
     is_msrd,
     msrd_distribution,
 )
-from skewrank.qcombinat import SchemeParams, gamma, gauss, xi
+from skewrank.qcombinat import SchemeParams, _qpow, gamma, gauss, sigma, xi
 
 P34 = SchemeParams(3, 4)
 P24 = SchemeParams(2, 4)
 P25 = SchemeParams(2, 5)
+
+# find_msrd(P25, 2, seed=0)
+SEED_0_BASIS = [
+    (1, 0, 0, 0, 0, 0, 1, 1, 0, 0),
+    (0, 1, 0, 0, 0, 0, 0, 0, 1, 1),
+    (0, 0, 1, 0, 0, 0, 1, 0, 1, 1),
+    (0, 0, 0, 1, 0, 1, 1, 0, 0, 1),
+    (0, 0, 0, 0, 1, 1, 0, 1, 1, 0),
+]
 
 
 class TestMomentIdentities:
@@ -188,7 +199,39 @@ class TestInversion:
             invert_sequence([Fraction(1)], 3, 2)
 
 
+def _msrd_double_sum(params, d):
+    """The forced counts as the explicit double sum
+    c_{d+r} = sum_{i<=r} (-1)^{r-i} q^{2 sigma_{r-i}} [d+r, d+i] [n, d+r]
+              (|C| q^{m(d+i-n)} - 1),
+    the triangular inversion written out by hand."""
+    q, n, m = params.q, params.n, params.m
+    size = q ** (m * (n - d + 1))
+    counts = [1] + [0] * n
+    for r in range(n - d + 1):
+        counts[d + r] = sum(
+            (
+                (-1) ** (r - i)
+                * q ** (2 * sigma(r - i))
+                * gauss(q, d + r, d + i)
+                * gauss(q, n, d + r)
+                * (size * _qpow(q, m * (d + i - n)) - 1)
+                for i in range(r + 1)
+            ),
+            Fraction(0),
+        )
+    return tuple(counts)
+
+
 class TestMsrdDistribution:
+    @pytest.mark.parametrize("q", (2, 3, 4, 5, 7, 8, 9))
+    def test_matches_double_sum(self, q):
+        for t in range(2, 17):
+            p = SchemeParams(q, t)
+            for d in range(1, p.n + 2):
+                assert msrd_distribution(p, d).counts == _msrd_double_sum(p, d), (
+                    q, t, d
+                )
+
     def test_d1_is_omega(self):
         assert msrd_distribution(P34, 1).counts == (1, 260, 468)
 
@@ -265,17 +308,75 @@ class TestFindMsrd:
 
     def test_seed_0_basis_is_pinned(self):
         # any change to the search's RNG draws or word order shows here
-        assert find_msrd(P25, 2, seed=0).basis_rows() == [
-            (1, 0, 0, 0, 0, 0, 1, 1, 0, 0),
-            (0, 1, 0, 0, 0, 0, 0, 0, 1, 1),
-            (0, 0, 1, 0, 0, 0, 1, 0, 1, 1),
-            (0, 0, 0, 1, 0, 1, 1, 0, 0, 1),
-            (0, 0, 0, 0, 1, 1, 0, 1, 1, 0),
-        ]
+        assert find_msrd(P25, 2, seed=0).basis_rows() == SEED_0_BASIS
 
     def test_d_out_of_range(self):
         with pytest.raises(ValueError):
             find_msrd(P24, 3)
+
+    # (q, t, d, seed, budget) -> digest of basis_rows(), or None when the
+    # budget runs out; recorded from the search that kept the whole span as
+    # a list of tuples, so these fix its RNG draws and accept decisions.
+    PINNED_TABLED = {
+        (2, 4, 2, 0, 300): None,
+        (2, 4, 2, 0, 2000): None,
+        (3, 4, 2, 0, 300): None,
+        (3, 4, 2, 0, 2000): None,
+        (3, 5, 2, 0, 300): None,
+        (3, 5, 2, 0, 2000): None,
+        (3, 5, 2, 0, 20000): "f087a4079badaff2",
+        (3, 5, 2, 1, 2000): "e16cd6490ff5636f",
+        (3, 5, 2, 2, 2000): "b8b2e5b27c519d39",
+        (4, 4, 2, 0, 300): None,
+        (4, 4, 2, 0, 2000): None,
+        (5, 4, 2, 0, 300): None,
+        (2, 6, 2, 0, 300): None,
+        (2, 6, 2, 0, 2000): None,
+        (2, 7, 3, 0, 300): None,
+        (2, 7, 3, 0, 2000): None,
+        (2, 8, 3, 0, 300): None,
+        (2, 5, 2, 0, 20000): "bfb706ac907b6ef3",
+        (2, 5, 2, 1, 20000): "0d425264aa4dc3b9",
+        (2, 5, 2, 2, 20000): "3c835afa3a19119b",
+        (2, 5, 2, 3, 20000): "ee6b5dcb8c8681d4",
+        (2, 5, 2, 4, 20000): "8c94a3fa8a8d2556",
+        (2, 5, 2, 5, 20000): "65550327e611178b",
+        (2, 5, 2, 6, 20000): "1767b6bc31a8f0b0",
+        (2, 5, 2, 7, 20000): "cc81c8ddac998029",
+    }
+    PINNED_UNTABLED = {
+        (3, 5, 2, 2, 2000): "b8b2e5b27c519d39",
+        (4, 5, 2, 1, 2000): "954270220345f4c6",
+        (8, 4, 2, 0, 300): None,
+        (9, 4, 2, 0, 300): None,
+    }
+
+    @staticmethod
+    def _digest(code):
+        if code is None:
+            return None
+        return hashlib.sha256(repr(code.basis_rows()).encode()).hexdigest()[:16]
+
+    @pytest.mark.parametrize("case", sorted(PINNED_TABLED))
+    def test_pinned_results(self, case):
+        q, t, d, seed, budget = case
+        code = find_msrd(SchemeParams(q, t), d, budget=budget, seed=seed)
+        assert self._digest(code) == self.PINNED_TABLED[case]
+
+    @pytest.mark.parametrize("case", sorted(PINNED_UNTABLED))
+    def test_pinned_results_without_table(self, monkeypatch, case):
+        monkeypatch.setattr(gfcodes, "_RANK_TABLE_CAP", 0)
+        monkeypatch.setattr(gfcodes, "_RANK_TABLES", {})
+        q, t, d, seed, budget = case
+        code = find_msrd(SchemeParams(q, t), d, budget=budget, seed=seed)
+        assert self._digest(code) == self.PINNED_UNTABLED[case]
+
+    def test_seed_0_basis_without_table(self, monkeypatch):
+        # the search ranks by _walk_ranks and keeps the tabled search's basis
+        monkeypatch.setattr(gfcodes, "_RANK_TABLE_CAP", 0)
+        monkeypatch.setattr(gfcodes, "_RANK_TABLES", {})
+        assert rank_table(P25, make_field(2)) is None
+        assert find_msrd(P25, 2, seed=0).basis_rows() == SEED_0_BASIS
 
     def test_budget_exhaustion_returns_none(self):
         assert find_msrd(P24, 2, budget=400, seed=0) is None
