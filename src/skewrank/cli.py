@@ -3,7 +3,8 @@
 Subcommands map one-to-one onto the library modules; output is JSON by
 default (big integers rendered as decimal strings) or aligned text with
 --format=text.  Exit codes: 0 success / verdict true, 1 verdict false,
-2 usage error, 3 enumeration budget exceeded.
+2 usage error, 3 enumeration budget exceeded, 4 internal invariant
+violated (an ArithmeticError: a bug, never a verdict).
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ EXIT_OK = 0
 EXIT_FALSE = 1
 EXIT_USAGE = 2
 EXIT_BUDGET = 3
+EXIT_INVARIANT = 4
 
 
 def _emit(fmt: str, params: SchemeParams | None = None, **fields) -> None:
@@ -267,6 +269,9 @@ def main(argv: list[str] | None = None) -> int:
     except (CodeFormatError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except ArithmeticError as exc:
+        print(f"invariant error: {exc}", file=sys.stderr)
+        return EXIT_INVARIANT
 
 
 if __name__ == "__main__":

@@ -381,82 +381,58 @@ def _alt_form(t: int, field: FieldSpec, coords) -> int | list[list[int]]:
     return rows
 
 
-def _bilinear(a_full: list[list[int]], field: FieldSpec,
-              x: list[int], y: list[int]) -> int:
-    add, mul = field.add, field.mul
-    out = 0
-    for i, xi in enumerate(x):
-        if xi:
-            row = a_full[i]
-            acc = 0
-            for j, yj in enumerate(y):
-                if yj and row[j]:
-                    acc = add(acc, mul(row[j], yj))
-            out = add(out, mul(xi, acc))
-    return out
-
-
 def canonical_decompose(a: SkewMat) -> tuple[list[list[int]], int]:
     """Nonsingular P with P A P^T = diag{E2 x s, 0} and s the skew rank.
 
-    Symplectic reduction: repeatedly pick a hyperbolic pair from the
-    complement and project the rest against it.
+    Symplectic reduction on the Gram matrix G = R A R^T of the rows R not
+    yet paired, from R = I and G = A.  Each step takes the first (i, j),
+    i < j, with g = G_ij != 0 and splits off the hyperbolic pair u = R_i,
+    v = R_j / g, whose pairings with the rows are gu = G_i and gv = G_j / g.
+    Every other row w_r becomes w_r - gu_r v + gv_r u, which pairs to zero
+    with both, and G becomes G_rc + gv_r gu_c - gu_r gv_c over the rows
+    that remain: the Schur complement of the 2 x 2 block, as in _alt_rank.
     """
     field = a.field
     t = a.params.t
+    add, mul, neg, inv = field._add, field._mul, field._neg, field._inv
     afull = a.full_matrix()
-    add, mul, neg, inv = field.add, field.mul, field.neg, field.inv
-
-    def b(x: list[int], y: list[int]) -> int:
-        return _bilinear(afull, field, x, y)
-
-    complement = [[1 if i == j else 0 for j in range(t)] for i in range(t)]
+    rows = [[int(i == j) for j in range(t)] for i in range(t)]
+    gram = afull
     pairs: list[list[int]] = []
-    while True:
-        pick = None
-        for i in range(len(complement)):
-            for j in range(i + 1, len(complement)):
-                g = b(complement[i], complement[j])
-                if g:
-                    pick = (i, j, g)
-                    break
-            if pick:
-                break
-        if pick is None:
-            break
-        i, j, g = pick
-        u = complement[i]
-        ig = inv(g)
-        v = [mul(ig, x) for x in complement[j]]
-        rest = []
-        for r, w in enumerate(complement):
-            if r in (i, j):
-                continue
-            cu = b(u, w)
-            cv = b(v, w)
-            # w - B(u,w) v + B(v,w) u kills both pairings
-            w2 = [
-                add(add(wx, mul(neg(cu), vx)), mul(cv, ux))
-                for wx, vx, ux in zip(w, v, u)
-            ]
-            rest.append(w2)
-        pairs.extend([u, v])
-        complement = rest
+    while pick := next(((i, j) for i, gi in enumerate(gram)
+                        for j in range(i + 1, len(gi)) if gi[j]), None):
+        i, j = pick
+        scale = mul[inv[gram[i][j]]]
+        u, v = rows[i], [scale[x] for x in rows[j]]
+        gu, gv = gram[i], [scale[x] for x in gram[j]]
+        keep = [r for r in range(len(rows)) if r != i and r != j]
+        new_rows, new_gram = [], []
+        for r in keep:
+            du, dv = mul[neg[gu[r]]], mul[gv[r]]
+            new_rows.append([add[add[w][du[y]]][dv[z]]
+                             for w, y, z in zip(rows[r], v, u)])
+            new_gram.append([add[add[gram[r][c]][dv[gu[c]]]][du[gv[c]]]
+                             for c in keep])
+        rows, gram = new_rows, new_gram
+        pairs += [u, v]
 
-    p_rows = pairs + complement
+    p_rows = pairs + rows
     s = len(pairs) // 2
 
-    # self-verifying postcondition: P A P^T is the canonical block form
-    for i in range(t):
-        for j in range(t):
-            got = b(p_rows[i], p_rows[j])
-            if i < 2 * s and j < 2 * s and j == i + 1 and i % 2 == 0:
-                want = 1
-            elif i < 2 * s and j < 2 * s and i == j + 1 and j % 2 == 0:
-                want = neg(1)
-            else:
-                want = 0
-            if got != want:
+    # self-verifying postcondition: P A P^T, recomputed from A, is the
+    # canonical block form
+    want = [[0] * t for _ in range(t)]
+    for i in range(0, 2 * s, 2):
+        want[i][i + 1], want[i + 1][i] = 1, neg[1]
+    for i, x in enumerate(p_rows):
+        xa = [0] * t
+        for xk, ak in zip(x, afull):
+            xa = [add[c][mul[xk][e]] for c, e in zip(xa, ak)]
+        for j, y in enumerate(p_rows):
+            got = 0
+            for c, e in zip(xa, y):
+                got = add[got][mul[c][e]]
+            if got != want[i][j]:
                 raise ArithmeticError(f"canonical form violated at ({i},{j})")
     return p_rows, s
 
@@ -818,57 +794,44 @@ def diameter(code: LinearCode, budget: int = DEFAULT_BUDGET) -> int:
 
 def parse_code(text: str) -> LinearCode:
     """Parse the plain-text code format (see serialize_code)."""
-    header = None
-    header_line = 0
+    lines = [(lineno, line)
+             for lineno, raw in enumerate(text.splitlines(), start=1)
+             if (line := raw.strip()) and not line.startswith("#")]
+    if not lines:
+        raise CodeFormatError("no header line found")
+    (header_line, header), *body = lines
+    fields = {}
+    for tok in header.split():
+        if "=" not in tok:
+            raise CodeFormatError(
+                f"line {header_line}: bad header token {tok!r}"
+            )
+        key, _, val = tok.partition("=")
+        fields[key] = val
+    for need in ("q", "t", "k"):
+        if need not in fields:
+            raise CodeFormatError(
+                f"line {header_line}: header is missing {need}="
+            )
+    try:
+        q, t, k_declared = (int(fields[need]) for need in ("q", "t", "k"))
+        modulus = (tuple(int(c) for c in fields["modpoly"].split(","))
+                   if "modpoly" in fields else None)
+    except ValueError as exc:
+        raise CodeFormatError(f"line {header_line}: {exc}") from None
+    extra = set(fields) - {"q", "t", "k", "modpoly"}
+    if extra:
+        raise CodeFormatError(
+            f"line {header_line}: unknown header fields {sorted(extra)}"
+        )
+    try:
+        params = SchemeParams(q, t)
+        field = make_field(q, modulus)
+    except ValueError as exc:
+        raise CodeFormatError(f"line {header_line}: {exc}") from None
+    ncoords = params.num_coords
     rows: list[tuple[int, ...]] = []
-    q = t = k_declared = None
-    modulus = None
-    params = None
-    field = None
-    ncoords = None
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if header is None:
-            header = line
-            header_line = lineno
-            fields = {}
-            for tok in line.split():
-                if "=" not in tok:
-                    raise CodeFormatError(
-                        f"line {lineno}: bad header token {tok!r}"
-                    )
-                key, _, val = tok.partition("=")
-                fields[key] = val
-            for need in ("q", "t", "k"):
-                if need not in fields:
-                    raise CodeFormatError(
-                        f"line {lineno}: header is missing {need}="
-                    )
-            try:
-                q = int(fields["q"])
-                t = int(fields["t"])
-                k_declared = int(fields["k"])
-            except ValueError as exc:
-                raise CodeFormatError(f"line {lineno}: {exc}") from None
-            if "modpoly" in fields:
-                try:
-                    modulus = tuple(int(c) for c in fields["modpoly"].split(","))
-                except ValueError as exc:
-                    raise CodeFormatError(f"line {lineno}: {exc}") from None
-            extra = set(fields) - {"q", "t", "k", "modpoly"}
-            if extra:
-                raise CodeFormatError(
-                    f"line {lineno}: unknown header fields {sorted(extra)}"
-                )
-            try:
-                params = SchemeParams(q, t)
-                field = make_field(q, modulus)
-            except ValueError as exc:
-                raise CodeFormatError(f"line {lineno}: {exc}") from None
-            ncoords = params.num_coords
-            continue
+    for lineno, line in body:
         entries = line.split()
         if len(entries) != ncoords:
             raise CodeFormatError(
@@ -889,8 +852,6 @@ def parse_code(text: str) -> LinearCode:
                 )
             row.append(v)
         rows.append(tuple(row))
-    if header is None:
-        raise CodeFormatError("no header line found")
     if len(rows) != k_declared:
         warnings.warn(
             f"header (line {header_line}) declares k={k_declared} but the file "

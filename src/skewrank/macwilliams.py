@@ -20,6 +20,8 @@ from .qcombinat import SchemeParams
 
 def _as_counts(w: WeightDist | list[int] | tuple[int, ...], code_size: int,
                params: SchemeParams) -> tuple[int, ...]:
+    if code_size < 1:
+        raise ValueError(f"code size {code_size} is not positive")
     if isinstance(w, WeightDist):
         if w.params != params:
             raise ValueError("distribution and params disagree")
@@ -28,6 +30,8 @@ def _as_counts(w: WeightDist | list[int] | tuple[int, ...], code_size: int,
         counts = tuple(int(c) for c in w)
         if len(counts) != params.n + 1:
             raise ValueError(f"distribution must have length {params.n + 1}")
+        if any(c < 0 for c in counts):
+            raise ValueError("negative count")
     if sum(counts) != code_size:
         raise ValueError(
             f"distribution sums to {sum(counts)}, not the stated size "

@@ -17,7 +17,6 @@ from fractions import Fraction
 from .gfcodes import (
     DEFAULT_BUDGET,
     EnumerationBudgetError,
-    FieldSpec,
     LinearCode,
     SchemeParams,
     WeightDist,
@@ -319,8 +318,6 @@ def find_msrd(
     d: int,
     budget: int = SEARCH_BUDGET,
     seed: int = 0,
-    field: FieldSpec | None = None,
-    enum_budget: int = DEFAULT_BUDGET,
 ) -> LinearCode | None:
     """Seeded randomized search for a code attaining the Singleton-type bound.
 
@@ -333,9 +330,9 @@ def find_msrd(
     q, n, m = params.q, params.n, params.m
     if not 1 <= d <= n:
         raise ValueError(f"d={d} out of range 1..{n}")
-    field = field or make_field(q)
+    field = make_field(q)
     k_target = m * (n - d + 1)
-    if q**k_target > enum_budget:
+    if q**k_target > DEFAULT_BUDGET:
         raise EnumerationBudgetError(
             f"target code size q^{k_target} exceeds the enumeration budget"
         )
@@ -370,7 +367,7 @@ def find_msrd(
                     break  # restart from scratch
         if len(basis) == k_target:
             code = LinearCode.from_spanning(params, field, basis)
-            if code.k != k_target or min_distance(code, enum_budget) != d:
+            if code.k != k_target or min_distance(code) != d:
                 raise ArithmeticError(f"find_msrd built a non-MSRD code {code}")
             return code
     return None

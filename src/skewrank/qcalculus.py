@@ -11,8 +11,8 @@ from __future__ import annotations
 import warnings
 from fractions import Fraction
 
-from .homopoly import HPoly, evaluate, nu_power
-from .lambda_ring import LambdaScalar
+from .homopoly import HPoly, evaluate, mu_power, nu_power
+from .lambda_ring import LambdaScalar, gamma_lambda
 from .qcombinat import beta, sigma
 
 
@@ -85,9 +85,6 @@ def mu_inv_derivative_closed(q: int, k: int, phi: int) -> HPoly:
     q^{-2 sigma(phi)} beta(k,phi) gamma_lambda(phi) mu^[k-phi](lambda - 2 phi);
     used as the reference side of the corresponding identity test.
     """
-    from .homopoly import mu_power
-    from .lambda_ring import gamma_lambda
-
     if not (0 <= phi <= k):
         raise ValueError(f"need 0 <= phi={phi} <= k={k}")
     base = mu_power(q, k - phi).shift_lambda(phi)

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from skewrank import gfcodes, macwilliams, selftest
+from skewrank import gfcodes, krawtchouk, macwilliams, selftest
 from skewrank.cli import build_parser, main
 from skewrank.moments import find_msrd
 from skewrank.gfcodes import WeightDist
@@ -139,6 +139,30 @@ class TestSubcommands:
     def test_macwilliams_needs_input(self, capsys):
         code, _ = run_cli(capsys, "macwilliams", "--q", "3", "--t", "4")
         assert code == 2
+
+    @pytest.mark.parametrize("dist, size, message", [
+        ("-81,0,0", "-81", "code size -81 is not positive"),
+        ("2,-1,0", "1", "negative count"),
+        ("0,0,0", "0", "code size 0 is not positive"),
+    ])
+    def test_macwilliams_impossible_input(self, capsys, dist, size, message):
+        code = main(["macwilliams", f"--dist={dist}", f"--size={size}",
+                     "--q", "3", "--t", "4"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
+    def test_invariant_failure_has_its_own_exit(self, capsys, monkeypatch):
+        def broken(params):
+            raise ArithmeticError("eigenmatrix row sums are off")
+
+        monkeypatch.setattr(krawtchouk, "p_matrix", broken)
+        code = main(["krawtchouk", "--q", "3", "--t", "4"])
+        captured = capsys.readouterr()
+        assert code == 4
+        assert captured.out == ""
+        assert captured.err == "invariant error: eigenmatrix row sums are off\n"
 
     def test_moments(self, capsys):
         code, out = run_cli(capsys, "moments", "--code", EXAMPLE)

@@ -1,8 +1,12 @@
+import hashlib
 import itertools
 import random
 import tracemalloc
+import warnings
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from conftest import ACCEPTANCE_PAIRS, EXAMPLE_CODE_ROWS
 from skewrank.gfcodes import (
@@ -26,7 +30,7 @@ from skewrank.gfcodes import (
     weight_distribution,
     zero_code,
 )
-from skewrank.gfcodes import _alt_form, _alt_rank, _build_rank_table
+from skewrank.gfcodes import _alt_form, _alt_rank, _build_rank_table, _rref
 from skewrank.qcombinat import SchemeParams, xi
 
 
@@ -285,7 +289,69 @@ def _dot(f, xs, ys, t):
     return acc
 
 
+SUPPORTED_Q = sorted(
+    {4, 8, 9} | {q for q in range(2, 98) if all(q % d for d in range(2, q))}
+)
+
+# sha256 of repr([P for each of _decompose_draws(q)]), recorded from the
+# reduction that re-evaluated the bilinear form for every candidate pair
+CANONICAL_DIGESTS = {
+    2: "0b2572930dc6e1bda3284ed377f987972826a7f0b8b7a4c8342cb5d7bfc71cde",
+    3: "413cdce034ce3f399b210e8c582039568df8f32e2bcdb6246dbef6a2319fa751",
+    4: "93634bf48d3fb695a0d6cb934ddbc6b739f8d2b5b605fbaf5846b0431b8ce557",
+    5: "4c99b83e7ff41000799361620fcaf401c9321d4ef6b906588e83e49c6bc5102c",
+    7: "7a0b86d81c834b700e7b3eadb8ebacd6c7e6248b851524f26dd2fe186b6ea81b",
+    8: "1845f8f93e842e6608b96dc2954e950c0b9be35aa746bdecb3c48919c2c0bc02",
+    9: "8c180b6b3b272d33b4f9ad6eebc1cde1eeac28a4473190e7aee659626762bea3",
+    11: "77238cdd30a6c1a340429d010377ee024534f11fd951bde39cdce5d6c5d9ce28",
+    13: "6d0b94b91070877600f02abdce8194b832bc5a8a39dada6a0641f89918dd7b99",
+    17: "c2e30b9444527eab1a05c9f5ac4e05b4028edc0d7969f894e89c8e718a1a9b7b",
+    19: "7a988283bdbe1736827d000bd191b64bae5c05f146de94044f7730b7f2292e24",
+    23: "cc07300ff31feda278c81e9a162f68e919effeea18a51ecd16cc3168e15bf42b",
+    29: "f43919d68844cc39e8be7690b707435653201afe60b9870901a480d4850bab42",
+    31: "c2c1847954a3fd35ec78c16e431c4feca0ad1b1a6c9246725297fb467e29b311",
+    37: "f2cde07546d96ec880f7c62a9e8e9173ba64e595400b6ee41816001290f134dc",
+    41: "2021c5f686b170e21325a89d349641035b0df7825643a0d63e3e99bbed5225ce",
+    43: "11022116505a91af05fb8e8f1db2f4a10a1f4e7ce7f48635e3b15e0b0724c9ee",
+    47: "f5ac73434fa65eda5bf057a86cb1f3d1d4f7a35a1ac9bcc0c648d9b21ef07648",
+    53: "f96fa93210fe20876dfa8da0e35bb865c40277a43f38ed318fbaf84b8d53826b",
+    59: "107029b8919b4605f3ab2991fe6952a5b9dfe9d4597f782d49fd09f3ee90cdad",
+    61: "5359cbd5c6cd8354099274b450e2ea007ef6e60e9e60ea2e9b023f168f1ed45f",
+    67: "252f2688c2a84c556a2dd199d4e580d8a16dd4df549ebb18b86812a788f2d848",
+    71: "0fcb6d04d684f3adb5b20bf6f77dbc4ff397556e8fd7de47875e207678468d19",
+    73: "1351fb0c1383822bf1d92488f6386f7dec1f483b69f2bb92860f77af4276a661",
+    79: "ad57d207a0db72b4e16e0c24eaeef116526383cc6057e6aee60f92ab399b12a1",
+    83: "2169cdfdbd447997a38d1f6aabdf23748ddba0089bc6e4b1c47b8c89f1acd7bb",
+    89: "4e7e11dcf10c5ad6bfa78b5651ba782c0552d933bfe8613bb23459d35fe6e5a5",
+    97: "f6dbf4e795312042dd199f84d2e58ea6129d8bba5678741c5b353e24e9792cc1",
+}
+
+
+def _decompose_draws(q):
+    """Six alternating matrices per t = 2..10, two at each density."""
+    rng = random.Random(q)
+    field = make_field(q)
+    for t in range(2, 11):
+        params = SchemeParams(q, t)
+        for density in (1.0, 0.5, 0.15):
+            for _ in range(2):
+                yield SkewMat(params, field, tuple(
+                    rng.randrange(1, q) if rng.random() < density else 0
+                    for _ in range(params.num_coords)
+                ))
+
+
 class TestCanonicalDecompose:
+    @pytest.mark.parametrize("q", SUPPORTED_Q)
+    def test_pinned_on_every_field(self, q):
+        ps = []
+        for m in _decompose_draws(q):
+            P, s = canonical_decompose(m)
+            assert s == skew_rank(m)
+            assert len(_rref(P, m.field)[1]) == m.params.t  # P is nonsingular
+            ps.append(P)
+        assert hashlib.sha256(repr(ps).encode()).hexdigest() == CANONICAL_DIGESTS[q]
+
     def test_zero_matrix_identity(self):
         p = SchemeParams(3, 4)
         m = SkewMat(p, make_field(3), (0,) * 6)
@@ -460,7 +526,99 @@ class TestWeightDistribution:
                 assert c.size <= q ** (p.m * (p.n - d + 1))
 
 
+# (text, exact message), recorded from the row-loop parser that kept the
+# header in a state variable
+MALFORMED = [
+    ("", "no header line found"),
+    ("# only a comment\n\n   \n", "no header line found"),
+    ("q=3 t=4 k=1 colour=red\n", "line 1: unknown header fields ['colour']"),
+    ("q=3 t=4\n", "line 1: header is missing k="),
+    ("q=three t=4 k=1\n",
+     "line 1: invalid literal for int() with base 10: 'three'"),
+    ("q=3 t=x k=y\n", "line 1: invalid literal for int() with base 10: 'x'"),
+    ("q=4 t=3 k=1 modpoly=1,x,1\n",
+     "line 1: invalid literal for int() with base 10: 'x'"),
+    ("q=3 t=4 k=1 modpoly=x colour=red\n",
+     "line 1: invalid literal for int() with base 10: 'x'"),
+    ("q=3 t=4 k=1 modpoly=1,0,1\n", "line 1: q=3 is prime; no modulus applies"),
+    ("q=6 t=4 k=0\n", "line 1: q=6 is not a prime power"),
+    ("q=3 t=4 k=1 bare\n", "line 1: bad header token 'bare'"),
+    ("q=3 t=1 k=0\n", "line 1: t=1 must be >= 2"),
+    ("q=121 t=3 k=0\n",
+     "line 1: q=121 is too large; supported q: primes up to 97, and prime "
+     "powers 4, 8, 9 (other prime powers need an explicit irreducible "
+     "modulus)"),
+    ("q=4 t=3 k=0 modpoly=1,0,1\n",
+     "line 1: modulus (1, 0, 1) is reducible over F_2"),
+    ("q=4 t=3 k=0 modpoly=1,1,1,1\n",
+     "line 1: modulus must be monic of degree 2 over F_2"),
+    ("\ufeffq=3 t=4 k=0\n", "line 1: header is missing q="),
+    ("q=3 t=4 k=1\n0 0 3 0 0 0\n",
+     "line 2, column 3: entry 3 out of range for q=3"),
+    ("q=3 t=4 k=1\n0 0 0\n", "line 2: expected 6 entries, got 3"),
+    ("q=2 t=3 k=1\n1 0 1 0\n", "line 2: expected 3 entries, got 4"),
+    ("q=3 t=4 k=1\nx 0 0 0 0 0\n", "line 2, column 1: 'x' is not an integer"),
+    ("q=3 t=4 k=1=2\n1 0 0 0 0 0\n",
+     "line 1: invalid literal for int() with base 10: '1=2'"),
+    ("# c\n\n  q=3 t=4 k=2\n\n1 0 0 0 0 0\n# mid\n0 1 -1 0 0 0\n",
+     "line 7, column 3: entry -1 out of range for q=3"),
+]
+
+# (text, exact warnings in order, basis kept)
+WARNED = [
+    ("q=3 t=4 k=3\n1 0 0 0 0 0\n",
+     ["header (line 1) declares k=3 but the file has 1 rows; using the rows"],
+     [(1, 0, 0, 0, 0, 0)]),
+    ("# lead\n\nq=3 t=4 k=2\n1 0 0 0 0 0\n2 0 0 0 0 0\n",
+     ["basis rows are linearly dependent; reduced to 1 independent rows"],
+     [(1, 0, 0, 0, 0, 0)]),
+    ("# lead\n\nq=3 t=4 k=1\n1 0 0 0 0 0\n2 0 0 0 0 0\n",
+     ["header (line 3) declares k=1 but the file has 2 rows; using the rows",
+      "basis rows are linearly dependent; reduced to 1 independent rows"],
+     [(1, 0, 0, 0, 0, 0)]),
+]
+
+
+@st.composite
+def codes(draw):
+    """A code with an arbitrary (unreduced) basis, q in {2,3,4,5,7,8,9}."""
+    q = draw(st.sampled_from((2, 3, 4, 5, 7, 8, 9)))
+    params = SchemeParams(q, draw(st.integers(2, 5)))
+    field = make_field(q)
+    row = st.tuples(*[st.integers(0, q - 1)] * params.num_coords)
+    rows = draw(st.lists(row, max_size=min(4, params.num_coords)))
+    assume(len(_rref([list(r) for r in rows], field)[0]) == len(rows))
+    return LinearCode.from_rows(params, field, rows)
+
+
 class TestCodeFormat:
+    @pytest.mark.parametrize("text, message", MALFORMED)
+    def test_malformed_message(self, text, message):
+        with pytest.raises(CodeFormatError) as exc:
+            parse_code(text)
+        assert str(exc.value) == message
+
+    @pytest.mark.parametrize("text, messages, rows", WARNED)
+    def test_warning_messages(self, text, messages, rows):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = parse_code(text)
+        assert [str(w.message) for w in caught] == messages
+        assert all(w.category is UserWarning for w in caught)
+        # each warning points at the caller of parse_code
+        assert all(w.filename == __file__ for w in caught)
+        assert code.basis_rows() == rows
+
+    @settings(max_examples=150, deadline=None)
+    @given(code=codes())
+    def test_round_trip_keeps_basis(self, code):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            again = parse_code(serialize_code(code))
+        assert again.params == code.params
+        assert again.field.table_key() == code.field.table_key()
+        assert again.basis_rows() == code.basis_rows()
+
     def test_round_trip(self, example_code):
         text = serialize_code(example_code)
         again = parse_code(text)

@@ -86,6 +86,29 @@ class TestTransforms:
         with pytest.raises(ValueError, match="length"):
             transform_matrix([1, 0], 1, P34)
 
+    @pytest.mark.parametrize("transform", [transform_matrix, transform_functional])
+    @pytest.mark.parametrize("counts, size, message", [
+        ([-81, 0, 0], -81, "code size -81 is not positive"),
+        ([2, -1, 0], 1, "negative count"),
+        ([0, 0, 0], 0, "code size 0 is not positive"),
+    ])
+    def test_impossible_input_rejected(self, transform, counts, size, message):
+        with pytest.raises(ValueError, match=message):
+            transform(counts, size, P34)
+
+
+@pytest.mark.parametrize("q", [4, 5, 7, 8, 9])
+def test_three_way_agreement_on_larger_fields(q):
+    # k = 3 at t = 4 leaves a 3-dimensional dual: q^3 words a side
+    p = SchemeParams(q, 4)
+    rng = random.Random(q)
+    for _ in range(3):
+        rep = verify_code(random_code(p, make_field(q), 3, rng))
+        assert rep.dual_k == 3
+        assert rep.verdict, rep.mismatches
+        assert rep.dual_dist_enum.counts == rep.dual_dist_matrix.counts
+        assert rep.dual_dist_enum.counts == rep.dual_dist_functional.counts
+
 
 def p_transform_pair(counts, size, p):
     # the raw fraction vectors before integrality checks must agree, so

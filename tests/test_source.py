@@ -27,3 +27,18 @@ def test_library_has_no_assert_statements():
             or isinstance(node, ast.Raise) and _raises_assertion_error(node)
         ]
     assert not found, f"asserts in the library: {found}"
+
+
+def test_library_has_no_function_local_imports():
+    # every dependency of a module is visible at its top
+    found = []
+    for path in sorted(SRC.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        found += [
+            f"{path.name}:{node.lineno}"
+            for fn in ast.walk(tree)
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+            for node in ast.walk(fn)
+            if isinstance(node, (ast.Import, ast.ImportFrom))
+        ]
+    assert not found, f"imports inside functions: {found}"
