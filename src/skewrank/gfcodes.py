@@ -47,58 +47,17 @@ class EnumerationBudgetError(RuntimeError):
 # ---------------------------------------------------------------------------
 
 
-def _poly_mul_mod(a: tuple[int, ...], b: tuple[int, ...],
-                  modulus: tuple[int, ...], p: int) -> tuple[int, ...]:
-    e = len(modulus) - 1
-    prod = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                prod[i + j] = (prod[i + j] + ai * bj) % p
-    # reduce modulo the monic modulus
-    for d in range(len(prod) - 1, e - 1, -1):
-        c = prod[d]
-        if c:
-            prod[d] = 0
-            for i in range(e):
-                prod[d - e + i] = (prod[d - e + i] - c * modulus[i]) % p
-    out = prod[:e]
-    out += [0] * (e - len(out))
-    return tuple(out)
-
-
-def _poly_irreducible(modulus: tuple[int, ...], p: int) -> bool:
-    """Brute-force irreducibility of a monic polynomial over F_p."""
-    e = len(modulus) - 1
-    if e < 1 or modulus[-1] != 1:
-        return False
-
-    def divides(div: tuple[int, ...]) -> bool:
-        rem = list(modulus)
-        dd = len(div) - 1
-        inv_lead = pow(div[-1], -1, p)
-        for d in range(len(rem) - 1, dd - 1, -1):
-            c = (rem[d] * inv_lead) % p
-            if c:
-                for i in range(dd + 1):
-                    rem[d - dd + i] = (rem[d - dd + i] - c * div[i]) % p
-        return not any(rem[:dd])
-
-    for deg in range(1, e // 2 + 1):
-        for idx in range(p**deg):
-            coeffs = []
-            v = idx
-            for _ in range(deg):
-                coeffs.append(v % p)
-                v //= p
-            coeffs.append(1)
-            if divides(tuple(coeffs)):
-                return False
-    return True
-
-
 class FieldSpec:
-    """Arithmetic tables for GF(q), q = p^e."""
+    """Arithmetic tables for GF(q), q = p^e, as F_p[x]/(f) for a monic f.
+
+    An element is a polynomial of degree < e over F_p, encoded by its
+    base-p digits, and a prime field is the case e = 1, f = x.  The
+    quotient ring is a field exactly when f is irreducible (Lidl and
+    Niederreiter, Finite Fields, ch. 1 and 3).  A proper factor g of f is a
+    nonzero element with g (f/g) = 0, so no element times g is 1: a
+    reducible f shows up as a row of the mul table with no 1, and is
+    refused.
+    """
 
     __slots__ = ("p", "e", "q", "modulus", "_add", "_mul", "_neg", "_inv")
 
@@ -111,6 +70,7 @@ class FieldSpec:
             if modulus is not None:
                 raise ValueError(f"q={q} is prime; no modulus applies")
             self.modulus = None
+            f = (0, 1)
         else:
             if modulus is None:
                 raise ValueError(f"q={q} needs an irreducible modulus")
@@ -121,61 +81,31 @@ class FieldSpec:
                 raise ValueError(
                     f"modulus must be monic of degree {e} over F_{p}"
                 )
-            if not _poly_irreducible(modulus, p):
-                raise ValueError(f"modulus {modulus} is reducible over F_{p}")
-            self.modulus = modulus
-        self._build_tables()
-        self._spot_check()
-
-    def _digits(self, v: int) -> tuple[int, ...]:
-        out = []
-        for _ in range(self.e):
-            out.append(v % self.p)
-            v //= self.p
-        return tuple(out)
-
-    def _from_digits(self, digs: tuple[int, ...]) -> int:
-        v = 0
-        for d in reversed(digs):
-            v = v * self.p + d
-        return v
-
-    def _build_tables(self) -> None:
-        q, p = self.q, self.p
-        if self.e == 1:
-            self._add = [[(a + b) % p for b in range(q)] for a in range(q)]
-            self._mul = [[(a * b) % p for b in range(q)] for a in range(q)]
-        else:
-            digs = [self._digits(v) for v in range(q)]
-            self._add = [
-                [
-                    self._from_digits(
-                        tuple((x + y) % p for x, y in zip(digs[a], digs[b]))
-                    )
-                    for b in range(q)
-                ]
-                for a in range(q)
-            ]
-            self._mul = [
-                [
-                    self._from_digits(_poly_mul_mod(digs[a], digs[b],
-                                                    self.modulus, p))
-                    for b in range(q)
-                ]
-                for a in range(q)
-            ]
-        self._neg = [0] * q
+            self.modulus = f = modulus
+        place = [p**j for j in range(e)]
+        add = [[sum((a // w + b // w) % p * w for w in place)
+                for b in range(q)] for a in range(q)]
+        # x v shifts the digits up; a top digit, at x^(e-1), wraps to
+        # x^e = -(f_0 + ... + f_(e-1) x^(e-1)): x v = x (v - x^(e-1)) + x^e
+        top = q // p
+        wrap = sum(-c % p * w for c, w in zip(f, place))
+        times_x = []
+        for v in range(q):
+            times_x.append(add[times_x[v - top]][wrap] if v >= top else v * p)
+        # b = x b' + d: a b is a (b - 1) + a when d > 0, else x (a b')
+        mul = []
         for a in range(q):
-            for b in range(q):
-                if self._add[a][b] == 0:
-                    self._neg[a] = b
-                    break
-        self._inv = [0] * q
-        for a in range(1, q):
+            row = [0]
             for b in range(1, q):
-                if self._mul[a][b] == 1:
-                    self._inv[a] = b
-                    break
+                row.append(add[row[-1]][a] if b % p else times_x[row[b // p]])
+            mul.append(row)
+        if any(1 not in row for row in mul[1:]):
+            raise ValueError(f"modulus {modulus} is reducible over F_{p}")
+        self._add = add
+        self._mul = mul
+        self._neg = mul[p - 1]  # the integer p - 1 encodes -1
+        self._inv = [0] + [row.index(1) for row in mul[1:]]
+        self._spot_check()
 
     def _spot_check(self) -> None:
         q = self.q
@@ -527,7 +457,7 @@ def _rref(rows: list[list[int]], field: FieldSpec) -> tuple[list[list[int]], lis
     m = [list(r) for r in rows]
     nrows = len(m)
     ncols = len(m[0]) if m else 0
-    sub, mul, inv = field.sub, field.mul, field.inv
+    add, mul, neg, inv = field._add, field._mul, field._neg, field._inv
     pivots: list[int] = []
     rank = 0
     for col in range(ncols):
@@ -542,13 +472,12 @@ def _rref(rows: list[list[int]], field: FieldSpec) -> tuple[list[list[int]], lis
         prow = m[rank]
         c = prow[col]
         if c != 1:
-            ic = inv(c)
-            m[rank] = prow = [mul(ic, v) for v in prow]
+            scale = mul[inv[c]]
+            m[rank] = prow = [scale[v] for v in prow]
         for r in range(nrows):
             if r != rank and m[r][col]:
-                c = m[r][col]
-                rr = m[r]
-                m[r] = [sub(a, mul(c, b)) for a, b in zip(rr, prow)]
+                scale = mul[neg[m[r][col]]]
+                m[r] = [add[a][scale[b]] for a, b in zip(m[r], prow)]
         pivots.append(col)
         rank += 1
     return m[:rank], pivots
@@ -648,13 +577,13 @@ def dual(code: LinearCode) -> LinearCode:
         return full_space_code(params, field)
     red, pivots = _rref([list(r) for r in code.basis_rows()], field)
     free = [c for c in range(ncoords) if c not in pivots]
-    neg = field.neg
+    neg = field._neg
     rows = []
     for f in free:
         v = [0] * ncoords
         v[f] = 1
         for r, pc in enumerate(pivots):
-            v[pc] = neg(red[r][f])
+            v[pc] = neg[red[r][f]]
         rows.append(tuple(v))
     return LinearCode.from_rows(params, field, rows)
 
@@ -794,6 +723,7 @@ def diameter(code: LinearCode, budget: int = DEFAULT_BUDGET) -> int:
 
 def parse_code(text: str) -> LinearCode:
     """Parse the plain-text code format (see serialize_code)."""
+    text = text.removeprefix("\ufeff")  # a byte-order mark some editors write
     lines = [(lineno, line)
              for lineno, raw in enumerate(text.splitlines(), start=1)
              if (line := raw.strip()) and not line.startswith("#")]

@@ -81,6 +81,14 @@ class TestWdist:
         code, _ = run_cli(capsys, "wdist", "--code", EXAMPLE, "--budget", "10")
         assert code == 3
 
+    def test_byte_order_mark_file(self, capsys, tmp_path):
+        marked = tmp_path / "bom.skc"
+        marked.write_bytes(b"\xef\xbb\xbf" + Path(EXAMPLE).read_bytes())
+        _, want = run_cli(capsys, "wdist", "--code", EXAMPLE)
+        code, out = run_cli(capsys, "wdist", "--code", str(marked))
+        assert code == 0
+        assert out == want
+
     def test_missing_code_is_usage_error(self, capsys):
         code, _ = run_cli(capsys, "wdist")
         assert code == 2

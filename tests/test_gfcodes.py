@@ -12,6 +12,7 @@ from conftest import ACCEPTANCE_PAIRS, EXAMPLE_CODE_ROWS
 from skewrank.gfcodes import (
     CodeFormatError,
     EnumerationBudgetError,
+    FieldSpec,
     LinearCode,
     SkewMat,
     canonical_decompose,
@@ -31,7 +32,7 @@ from skewrank.gfcodes import (
     zero_code,
 )
 from skewrank.gfcodes import _alt_form, _alt_rank, _build_rank_table, _rref
-from skewrank.qcombinat import SchemeParams, xi
+from skewrank.qcombinat import SchemeParams, factor_prime_power, xi
 
 
 def column_rank_oracle(mat_rows, field):
@@ -59,6 +60,93 @@ def column_rank_oracle(mat_rows, field):
                 ]
         rank += 1
     return rank
+
+
+def monic_moduli(q):
+    """Every monic polynomial of degree e over F_p, q = p^e, low degree first."""
+    p, e = factor_prime_power(q)
+    return [low + (1,) for low in itertools.product(range(p), repeat=e)]
+
+
+def irreducible(modulus, p):
+    """Brute-force factor search: no monic divisor of degree 1..e//2."""
+    e = len(modulus) - 1
+    for deg in range(1, e // 2 + 1):
+        for low in itertools.product(range(p), repeat=deg):
+            div = low + (1,)
+            rem = list(modulus)
+            for d in range(e, deg - 1, -1):
+                c = rem[d]
+                for i in range(deg + 1):
+                    rem[d - deg + i] = (rem[d - deg + i] - c * div[i]) % p
+            if not any(rem[:deg]):
+                return False
+    return True
+
+
+def tables(field):
+    return repr((field.modulus, field._add, field._mul, field._neg,
+                 field._inv))
+
+
+def outcome(q, modulus):
+    """FieldSpec's tables for the modulus, or its error's type and text."""
+    try:
+        return tables(FieldSpec(q, modulus))
+    except ValueError as exc:
+        return repr((type(exc).__name__, str(exc)))
+
+
+def sha256(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+# recorded from the construction that built prime and prime-power tables by
+# separate branches and checked each modulus by a brute-force factor search
+SUPPORTED_DIGESTS = {
+    2: "68627bc737e467d8efa13d483093acce9b3f76b21f1d34ac573d833dfbf9dcd0",
+    3: "02c6f21b866298ee586fed840820275d1796b62012228e6334b0a49cee8eded0",
+    4: "694b96b33000769c2ecf1058600cb7c31f773e13f53dfdf3750d72ca80d599e5",
+    5: "166bf5c41917430206d49681ba830d6cffbeb8629ca58ed25911e1988e8f7d26",
+    7: "e35ca76cff2886caeaccae750814147cad41ba45d0ec55ac93837d0ef88652f8",
+    8: "f3a40bfb3797bfa794a7057fb37e0aae580c37d1821ca96adef208af92138942",
+    9: "71c9c180ccdf33d44044720157cb7abe7aac721e5c67506ee783caa4e07e16e3",
+    11: "592184b3749e91a963b7584d72979bc1a6c1a3402740bf371e111d647eef6bc8",
+    13: "3a69235ae92a685e5432f25cf04176c0312e1f0e5a4cb0592c5d021bc19b7cf1",
+    17: "05605313e1ed6c8fde3b488ba1c1011c040fdd01c416def140d652ea05135142",
+    19: "90e8dc2a91115314be48c6fa1397a1ce40b132127acda638efff00644952846d",
+    23: "744afab976534d54234df497e1d31cedf81878c7b956b7921f323ad82936bcce",
+    29: "bdb4b6b2960071284e9d9f5b921fd31ecf741eeb3d098baffab9e2003a30ec09",
+    31: "5e89669b8980f16eddead828ab54aa2d29b0c2009419cc4cad13ac51cc604ae2",
+    37: "ba6964eccfe925f183c7c092a04dc559cafe966652e8a8862aaf23c19f2c1bcb",
+    41: "6149072afb6a37878d6aef2b7043fb6a530646786ce140e77203ea8bb2790843",
+    43: "b79dd04899f094653f5b182348ec12ab578c7d60d42d1cb3b9d6590946593386",
+    47: "c5b83e1d80331150148fbb94fff00186fd584e2c0cf1f8925da9123d386f0129",
+    53: "7007908946efea41cb4c3f90e49dccc0ed200c87e0951eac41481874f5223b4d",
+    59: "cdc3aaad097ad99380a19e14539b7a37f2c0c46f60e05706ae6aee33bd9ddc29",
+    61: "bff902e55ee8f25c0a6426267a9b1c652cbecaa7399acbf540ca6ca08d68e2e1",
+    67: "82519bcae0f471d650f455c2b37e131fef9630834f41500f1cb872d16f9e7a72",
+    71: "b187e8c5135cf17120ee06174b28db6a3b96981143dcdd0d2cfcaf45a94a6efb",
+    73: "97394ffd7ac4e786e69797ce2b267b464dd603411234ca4fec30b4f72ced6bfd",
+    79: "a850f03397891b0ea6ca0a45a96360b037e8609f024ffc2175c2dc7585f29b01",
+    83: "b5a710bd06c98e7f478a529a92c75d9d260e7f0ca1f1ff15db1d271995cd35da",
+    89: "9d4fd53cb550122c2baa2505de9614958e00d8419f901fc4a0584e5da3bd7f84",
+    97: "b204e16a9a8b97c0f6c72081971856cdf066f7921f20e36cbb813157b28b3401",
+}
+MODULI_DIGESTS = {
+    4: "eb26e0bd9ae6b1d69133f4ab82d100ad2e68b89d4d563da5b8da0b6c2d02b857",
+    8: "876ca1852dad2690740eb4bd8013534eab02c94539eb8f9beca16612a24033dd",
+    9: "325e353510fee75e677c1f87d8bf659e502db8423bb16ce8de053c7053da1512",
+    16: "3041d61ef6c110315e462f07f01e231a916eaa53a362932e7278543472f18e83",
+    25: "c6d6a69102c139f0f2edbf03962ca7586f716d68af7623321a3acf342e65c140",
+    27: "7c71a37284e18b89ff6b5ffd459f3557c1d8d5ca503ffee2cdd497517f29f117",
+    32: "67457c3e3f5be1a0439498c5c39d8593f8adf9c24a76bfcb5c956936c7bd9660",
+    49: "387eef1cca88fbdaecc388440d882b839476b266250266423daaa0d1046bc984",
+    64: "c8349210ab88c17cb66fb8254680982f75ffadb166ff0de17d3d5bc1a5aae9dd",
+    81: "3e00b2e9f998b7c475fcbc3034c8eca8b5e7f7d45b982d78f4224b0dde21e703",
+}
+# monic irreducibles of degree e over F_p: (1/e) sum_{d | e} mu(d) p^(e/d)
+GAUSS_COUNTS = ((4, 1), (8, 2), (9, 3), (16, 3), (25, 10), (27, 8))
 
 
 class TestField:
@@ -123,6 +211,29 @@ class TestField:
         assert f.mul(8, 2) == 3
         with pytest.raises(ValueError, match="reducible"):
             make_field(4, modulus=(1, 0, 1))  # x^2 + 1 = (x+1)^2 over F_2
+
+    @pytest.mark.parametrize("q", sorted(SUPPORTED_DIGESTS))
+    def test_supported_tables_pinned(self, q):
+        assert sha256(tables(make_field(q))) == SUPPORTED_DIGESTS[q]
+
+    @pytest.mark.parametrize("q", sorted(MODULI_DIGESTS))
+    def test_every_monic_modulus_pinned(self, q):
+        got = "".join(outcome(q, f) for f in monic_moduli(q))
+        assert sha256(got) == MODULI_DIGESTS[q]
+
+    @pytest.mark.parametrize("q, count", GAUSS_COUNTS)
+    def test_accepts_exactly_irreducible_moduli(self, q, count):
+        p, _ = factor_prime_power(q)
+        accepted = []
+        for modulus in monic_moduli(q):
+            try:
+                FieldSpec(q, modulus)
+            except ValueError as exc:
+                assert str(exc) == f"modulus {modulus} is reducible over F_{p}"
+            else:
+                accepted.append(modulus)
+        assert accepted == [f for f in monic_moduli(q) if irreducible(f, p)]
+        assert len(accepted) == count
 
 
 class TestSkewMat:
@@ -552,7 +663,6 @@ MALFORMED = [
      "line 1: modulus (1, 0, 1) is reducible over F_2"),
     ("q=4 t=3 k=0 modpoly=1,1,1,1\n",
      "line 1: modulus must be monic of degree 2 over F_2"),
-    ("\ufeffq=3 t=4 k=0\n", "line 1: header is missing q="),
     ("q=3 t=4 k=1\n0 0 3 0 0 0\n",
      "line 2, column 3: entry 3 out of range for q=3"),
     ("q=3 t=4 k=1\n0 0 0\n", "line 2: expected 6 entries, got 3"),
@@ -597,6 +707,13 @@ class TestCodeFormat:
         with pytest.raises(CodeFormatError) as exc:
             parse_code(text)
         assert str(exc.value) == message
+
+    def test_byte_order_mark_is_dropped(self):
+        text = "# lead\nq=3 t=4 k=2\n1 0 0 0 0 0\n0 2 0 0 0 1\n"
+        plain, marked = parse_code(text), parse_code("\ufeff" + text)
+        assert marked.params == plain.params
+        assert marked.field is plain.field
+        assert marked.basis_rows() == plain.basis_rows()
 
     @pytest.mark.parametrize("text, messages, rows", WARNED)
     def test_warning_messages(self, text, messages, rows):

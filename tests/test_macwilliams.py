@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from skewrank.gfcodes import (
     dual,
@@ -14,9 +16,11 @@ from skewrank.macwilliams import (
     transform_matrix,
     verify_code,
 )
+from skewrank.moments import msrd_distribution
 from skewrank.qcombinat import SchemeParams, xi
 
 P34 = SchemeParams(3, 4)
+FIELDS = (2, 3, 4, 5, 7, 8, 9)
 
 
 class TestTransforms:
@@ -57,6 +61,27 @@ class TestTransforms:
                 fwd = transform_matrix(w, c.size, p)
                 back = transform_matrix(fwd, whole // c.size, p)
                 assert back.counts == w.counts
+
+    @pytest.mark.parametrize("q", FIELDS)
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_transform_twice_is_identity(self, q, data):
+        # |C| then q^N / |C|: an MSRD distribution, or the distribution of
+        # a random code of at most 1000 words, which builds no large table
+        if data.draw(st.booleans(), label="msrd"):
+            p = SchemeParams(q, data.draw(st.integers(2, 11), label="t"))
+            w = msrd_distribution(p, data.draw(st.integers(1, p.n + 1),
+                                               label="d"))
+        else:
+            p = SchemeParams(q, data.draw(st.integers(2, 5), label="t"))
+            k = data.draw(st.integers(0, p.num_coords)
+                          .filter(lambda k: q**k <= 1000), label="k")
+            rng = data.draw(st.randoms(use_true_random=False))
+            w = weight_distribution(random_code(p, make_field(q), k, rng))
+        whole = q**p.num_coords
+        for transform in (transform_matrix, transform_functional):
+            back = transform(transform(w, w.size, p), whole // w.size, p)
+            assert back.counts == w.counts
 
     def test_routes_agree_on_arbitrary_distributions(self):
         # the identity is linear, realizable or not
