@@ -67,14 +67,18 @@ def cmd_dual(args: argparse.Namespace) -> int:
 
 
 def cmd_macwilliams(args: argparse.Namespace) -> int:
+    given = [f"--{key}" for key in ("dist", "size", "q", "t")
+             if getattr(args, key) is not None]
     if args.code:
+        if given:
+            raise ValueError(f"--code excludes {', '.join(given)}")
         code = _load_code(args.code)
         params = code.params
         dist = gfcodes.weight_distribution(code, args.budget)
         counts: list[int] = list(dist.counts)
         size = code.size
     else:
-        if None in (args.dist, args.size, args.q, args.t):
+        if len(given) < 4:
             raise ValueError("need --code, or --dist with --size (and --q/--t)")
         params = SchemeParams(args.q, args.t)
         counts = [int(c) for c in args.dist.split(",")]
@@ -259,6 +263,8 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        if getattr(args, "budget", 0) < 0:  # a count: negative is a typo
+            parser.error(f"argument --budget: {args.budget} is negative")
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:

@@ -388,14 +388,14 @@ def _rank_table_key(params: SchemeParams, field: FieldSpec) -> tuple:
 def _build_rank_table(params: SchemeParams, field: FieldSpec) -> bytearray:
     """Skew rank of every matrix in the space, indexed by packed coords.
 
-    The space is the span of the unit rows; it is walked in the order of
-    weight_distribution, the packed index and the matrix moving side by
-    side, and every word is ranked by _alt_rank.
+    Two walks of the unit rows' span from zero move in step: the identity
+    range as table yields each word's packed index, no table its rank.
     """
     unit = full_space_code(params, field).basis_rows()
-    table = bytearray(field.q**params.num_coords)  # the zero word has rank 0
-    for idx, rank in zip(_walk_indices(params, field, unit),
-                         _walk_ranks(params, field, unit)):
+    zero = (0,) * params.num_coords
+    table = bytearray(field.q**params.num_coords)
+    for idx, rank in zip(_span_ranks(params, field, unit, zero, range(len(table))),
+                         _span_ranks(params, field, unit, zero, None)):
         table[idx] = rank
     return table
 
@@ -417,14 +417,11 @@ def rank_census(params: SchemeParams, field: FieldSpec | None = None) -> list[in
     """Counts of matrices by skew rank over the whole space."""
     field = field or make_field(params.q)
     tbl = rank_table(params, field)
-    counts = [0] * (params.n + 1)
-    if tbl is not None:
-        for r in tbl:
-            counts[r] += 1
-        return counts
-    raise EnumerationBudgetError(
-        f"full space q^{params.num_coords} exceeds the rank-table cap"
-    )
+    if tbl is None:
+        raise EnumerationBudgetError(
+            f"full space q^{params.num_coords} exceeds the rank-table cap"
+        )
+    return [tbl.count(r) for r in range(params.n + 1)]
 
 
 # ---------------------------------------------------------------------------
@@ -592,14 +589,9 @@ def weight_distribution(code: LinearCode,
                         budget: int = DEFAULT_BUDGET) -> WeightDist:
     """Counts of codewords by skew rank over all q^k words.
 
-    The walk runs over the F_p-basis of the span, each basis row times x^j
-    for j < e (the element x^j is the integer p^j), in modular p-ary Gray
-    order (Knuth, TAOCP 4A, 7.2.1.1): step s = 1..q^k - 1 adds basis vector
-    number v_p(s), the p-adic valuation of s.  Each word is the previous
-    one plus one vector.  With a rank table the walk carries only the
-    packed base-q index (_walk_indices); without one it carries the matrix
-    itself and ranks it by symplectic pair pivots (_walk_ranks).  Memory
-    is O(1) in q^k: only the current word is held.
+    The span is walked from the zero word by _span_ranks, with the rank
+    table when the space fits under the cap and is small next to the code
+    or already built.  Memory is O(1) in q^k: only the current word is held.
     """
     params, field = code.params, code.field
     size = field.q**code.k
@@ -608,91 +600,88 @@ def weight_distribution(code: LinearCode,
             f"q^k = {size} exceeds the enumeration budget {budget}"
         )
     counts = [0] * (params.n + 1)
-    counts[0] = 1  # the zero word
     space = field.q**params.num_coords
+    tbl = None
     if space <= _RANK_TABLE_CAP and (
         space <= 64 * size or _rank_table_key(params, field) in _RANK_TABLES
     ):
         tbl = rank_table(params, field)
-        for idx in _walk_indices(params, field, code.basis_rows()):
-            counts[tbl[idx]] += 1
-    else:
-        for rank in _walk_ranks(params, field, code.basis_rows()):
-            counts[rank] += 1
+    for rank in _span_ranks(params, field, code.basis_rows(),
+                            (0,) * params.num_coords, tbl):
+        counts[rank] += 1
     return WeightDist(params, tuple(counts))
 
 
-def _fp_basis(field: FieldSpec, rows) -> list[list[int]]:
-    """Each row times x^j for j < e: the walk's F_p-basis of the span."""
-    mul = field._mul
-    return [[mul[field.p**j][v] for v in row]
-            for row in rows for j in range(field.e)]
+def _span_ranks(params: SchemeParams, field: FieldSpec, rows, start, tbl):
+    """Skew rank of start + w for every w in the span of rows: q^k values.
 
-
-def _walk_indices(params: SchemeParams, field: FieldSpec, rows):
-    """Packed base-q index of each nonzero word of the span, in walk order."""
-    q, p, add = field.q, field.p, field._add
-    vectors = _fp_basis(field, rows)
-    idx = 0
-    if p == 2:
-        # the index is the concatenation of the words' bits: a step is a XOR
-        vidx = [_pack(v, q) for v in vectors]
-        for s in range(1, 1 << len(vidx)):
-            idx ^= vidx[(s & -s).bit_length() - 1]
-            yield idx
-        return
-    # per vector, per coordinate of its support: the coordinate, its new
-    # value and the change of the packed index, both by old value
-    steps = [
-        [(c, add[g], [(add[g][v] - v) * q**c for v in range(q)])
-         for c, g in enumerate(vec) if g]
-        for vec in vectors
-    ]
-    word = [0] * params.num_coords
-    for s in range(1, p ** len(steps)):
-        r = 0
-        while not s % p:
-            s //= p
-            r += 1
-        for c, new, delta in steps[r]:
-            old = word[c]
-            word[c] = new[old]
-            idx += delta[old]
-        yield idx
-
-
-def _walk_ranks(params: SchemeParams, field: FieldSpec, rows):
-    """Skew rank of each nonzero word of the span, in walk order.
-
-    The walk carries the matrix in _alt_rank's form: at q = 2 one int that
-    each step XORs with the vector's mask, at any other q t row lists that
-    each step updates at (i, j) and (j, i) on the vector's support.
+    The walk runs over the F_p-basis of the span, each row times x^j for
+    j < e (x^j is the integer p^j), in modular p-ary Gray order (Knuth,
+    TAOCP 4A, 7.2.1.1): start first, then step s = 1..q^k - 1 adds basis
+    vector number v_p(s).  With a table the walk carries the packed base-q
+    index and yields tbl[index]; with tbl None it carries the matrix in
+    _alt_rank's form and ranks it.  The choice is made once, outside the
+    step loops.
     """
-    t, p = params.t, field.p
-    vectors = _fp_basis(field, rows)
-    if field.q == 2:
+    t, q, p = params.t, field.q, field.p
+    add, mul, neg = field._add, field._mul, field._neg
+    vectors = [[mul[p**j][v] for v in row] for row in rows for j in range(field.e)]
+    end = p ** len(vectors)
+    if tbl is not None and p == 2:
+        # the index is the concatenation of the words' bits: a step is a XOR
+        idx = _pack(start, q)
+        masks = [_pack(v, q) for v in vectors]
+        yield tbl[idx]
+        for s in range(1, end):
+            idx ^= masks[(s & -s).bit_length() - 1]
+            yield tbl[idx]
+    elif tbl is not None:
+        # per vector, per coordinate of its support: the coordinate, its new
+        # value and the change of the packed index, both by old value
+        word, idx = list(start), _pack(start, q)
+        steps = [
+            [(c, add[g], [(add[g][v] - v) * q**c for v in range(q)])
+             for c, g in enumerate(vec) if g]
+            for vec in vectors
+        ]
+        yield tbl[idx]
+        for s in range(1, end):
+            r = 0
+            while not s % p:
+                s //= p
+                r += 1
+            for c, new, delta in steps[r]:
+                old = word[c]
+                word[c] = new[old]
+                idx += delta[old]
+            yield tbl[idx]
+    elif q == 2:
+        # the matrix is one int, and a step XORs in the vector's mask
+        mat = _alt_form(t, field, start)
         masks = [_alt_form(t, field, v) for v in vectors]
-        mat = 0
-        for s in range(1, 1 << len(masks)):
+        yield _alt_rank(mat, t, field)
+        for s in range(1, end):
             mat ^= masks[(s & -s).bit_length() - 1]
             yield _alt_rank(mat, t, field)
-        return
-    add, neg = field._add, field._neg
-    mat = [[0] * t for _ in range(t)]
-    steps = [
-        [(mat[i], j, add[g], mat[j], i, add[neg[g]])
-         for (i, j), g in zip(upper_positions(t), vec) if g]
-        for vec in vectors
-    ]
-    for s in range(1, p ** len(steps)):
-        r = 0
-        while not s % p:
-            s //= p
-            r += 1
-        for row_i, j, up, row_j, i, down in steps[r]:
-            row_i[j] = up[row_i[j]]
-            row_j[i] = down[row_j[i]]
+    else:
+        # t row lists, which a step updates at (i, j) and (j, i) on the
+        # vector's support
+        mat = _alt_form(t, field, start)
+        steps = [
+            [(mat[i], j, add[g], mat[j], i, add[neg[g]])
+             for (i, j), g in zip(upper_positions(t), vec) if g]
+            for vec in vectors
+        ]
         yield _alt_rank(mat, t, field)
+        for s in range(1, end):
+            r = 0
+            while not s % p:
+                s //= p
+                r += 1
+            for row_i, j, up, row_j, i, down in steps[r]:
+                row_i[j] = up[row_i[j]]
+                row_j[i] = down[row_j[i]]
+            yield _alt_rank(mat, t, field)
 
 
 def min_distance(code: LinearCode, budget: int = DEFAULT_BUDGET) -> int:
@@ -737,6 +726,8 @@ def parse_code(text: str) -> LinearCode:
                 f"line {header_line}: bad header token {tok!r}"
             )
         key, _, val = tok.partition("=")
+        if key in fields:
+            raise CodeFormatError(f"line {header_line}: header repeats {key}=")
         fields[key] = val
     for need in ("q", "t", "k"):
         if need not in fields:

@@ -20,13 +20,11 @@ from .gfcodes import (
     LinearCode,
     SchemeParams,
     WeightDist,
-    _walk_indices,
-    _walk_ranks,
+    _span_ranks,
     full_space_code,
     make_field,
     min_distance,
     rank_table,
-    weight_distribution,
 )
 from .qcombinat import _qpow, gamma, gauss, sigma
 
@@ -322,10 +320,12 @@ def find_msrd(
     """Seeded randomized search for a code attaining the Singleton-type bound.
 
     Greedy basis growth with early rejection: a candidate matrix joins the
-    basis only if every word of the grown span, walked as in
-    weight_distribution, keeps skew rank >= d (a candidate already in the
-    span walks the zero word).  Returns None once `budget` candidate samples
-    are spent (existence is a property of the parameters, not of this search).
+    basis only if every word of cand + span(basis), walked by _span_ranks,
+    keeps skew rank >= d.  That is the whole grown span: a new word
+    c cand + w with c != 0 is c (cand + w / c), and a nonzero multiple keeps
+    the skew rank (a candidate already in the span meets the zero word).
+    Returns None once `budget` candidate samples are spent (existence is a
+    property of the parameters, not of this search).
     """
     q, n, m = params.q, params.n, params.m
     if not 1 <= d <= n:
@@ -341,12 +341,6 @@ def find_msrd(
 
     ncoords = params.num_coords
     tbl = rank_table(params, field)
-
-    def ranks(rows):
-        if tbl is None:
-            return _walk_ranks(params, field, rows)
-        return map(tbl.__getitem__, _walk_indices(params, field, rows))
-
     rng = random.Random(seed)
     samples = 0
     while samples < budget:
@@ -357,8 +351,7 @@ def find_msrd(
             samples += 1
             if not any(cand):
                 continue
-            # cand first: at p = 2 every other word of the walk contains it
-            if all(r >= d for r in ranks([cand, *basis])):
+            if all(r >= d for r in _span_ranks(params, field, basis, cand, tbl)):
                 basis.append(cand)
                 stuck = 0
             else:

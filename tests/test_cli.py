@@ -81,6 +81,22 @@ class TestWdist:
         code, _ = run_cli(capsys, "wdist", "--code", EXAMPLE, "--budget", "10")
         assert code == 3
 
+    def test_negative_budget_is_usage_error(self, capsys):
+        code = main(["wdist", "--code", EXAMPLE, "--budget", "-5"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "--budget: -5 is negative" in captured.err
+
+    def test_repeated_header_field_is_usage_error(self, capsys, tmp_path):
+        path = tmp_path / "twice.skc"
+        path.write_text("q=3 q=5 t=4 k=1\n1 0 0 0 0 0\n")
+        code = main(["wdist", "--code", str(path)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == "error: line 1: header repeats q=\n"
+
     def test_byte_order_mark_file(self, capsys, tmp_path):
         marked = tmp_path / "bom.skc"
         marked.write_bytes(b"\xef\xbb\xbf" + Path(EXAMPLE).read_bytes())
@@ -147,6 +163,19 @@ class TestSubcommands:
     def test_macwilliams_needs_input(self, capsys):
         code, _ = run_cli(capsys, "macwilliams", "--q", "3", "--t", "4")
         assert code == 2
+
+    @pytest.mark.parametrize("extra, named", [
+        (["--dist", "1,44,36", "--size", "81", "--q", "3", "--t", "4"],
+         "--dist, --size, --q, --t"),
+        (["--q", "3"], "--q"),
+        (["--size", "81", "--t", "4"], "--size, --t"),
+    ])
+    def test_macwilliams_code_excludes_dist(self, capsys, extra, named):
+        code = main(["macwilliams", "--code", EXAMPLE, *extra])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == f"error: --code excludes {named}\n"
 
     @pytest.mark.parametrize("dist, size, message", [
         ("-81,0,0", "-81", "code size -81 is not positive"),
@@ -255,6 +284,14 @@ class TestSubcommands:
         )
         assert code == 3
         assert json.loads(out)["found"] is False
+
+    def test_msrd_find_negative_budget_is_usage_error(self, capsys):
+        code = main(["msrd-find", "--q", "2", "--t", "4", "--d", "2",
+                     "--budget", "-3"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "--budget: -3 is negative" in captured.err
 
     def test_msrd_find_default_budget(self):
         args = build_parser().parse_args(

@@ -557,12 +557,19 @@ def dense_code(params, field, k, rng):
             continue
 
 
-def product_oracle(code):
-    """Distribution over every coefficient vector, word by word."""
+def random_nonzero(ncoords, q, rng):
+    """A uniformly random nonzero word of ncoords coordinates."""
+    while not any(word := tuple(rng.randrange(q) for _ in range(ncoords))):
+        pass
+    return word
+
+
+def product_oracle(code, start=None):
+    """Distribution of start + w over every coefficient vector of w."""
     counts = [0] * (code.params.n + 1)
-    zero = SkewMat(code.params, code.field, (0,) * code.params.num_coords)
+    start = start or (0,) * code.params.num_coords
     for coeffs in itertools.product(range(code.field.q), repeat=code.k):
-        word = zero
+        word = SkewMat(code.params, code.field, start)
         for c, b in zip(coeffs, code.basis):
             word = word.add(b.scale(c))
         counts[skew_rank(word)] += 1
@@ -672,6 +679,11 @@ MALFORMED = [
      "line 1: invalid literal for int() with base 10: '1=2'"),
     ("# c\n\n  q=3 t=4 k=2\n\n1 0 0 0 0 0\n# mid\n0 1 -1 0 0 0\n",
      "line 7, column 3: entry -1 out of range for q=3"),
+    # a repeated field is refused, not read as its last value
+    ("q=3 q=5 t=4 k=1\n1 0 0 0 0 0\n", "line 1: header repeats q="),
+    ("q=3 t=4 k=1 k=1\n1 0 0 0 0 0\n", "line 1: header repeats k="),
+    ("# c\nq=4 t=3 k=0 modpoly=1,1,1 modpoly=1,1,1\n",
+     "line 2: header repeats modpoly="),
 ]
 
 # (text, exact warnings in order, basis kept)
@@ -856,6 +868,18 @@ class TestEnumerationPaths:
                     continue
                 code = dense_code(p, f, k, rng)
                 assert weight_distribution(code).counts == product_oracle(code)
+                # from a random nonzero word, and from a nonzero word of the
+                # span, whose walk must meet the zero word
+                tbl = table if mode == "table" else None
+                starts = [random_nonzero(p.num_coords, q, rng)]
+                if k:
+                    starts.append(code.basis[-1].scale(rng.randrange(1, q)).upper)
+                for start in starts:
+                    ranks = list(g._span_ranks(p, f, code.basis_rows(), start, tbl))
+                    assert len(ranks) == q**k
+                    counts = tuple(ranks.count(r) for r in range(p.n + 1))
+                    assert counts == product_oracle(code, start)
+                assert not k or 0 in ranks  # the last walk began in the span
             assert (table.lookups > 0) == (mode == "table")
 
     def test_walk_memory_is_constant(self):

@@ -49,19 +49,6 @@ class TestTransforms:
         assert transform_functional([1, 8, 0], 9, P34).counts == (1, 44, 36)
         assert transform_matrix([1, 8, 0], 9, P34).counts == (1, 44, 36)
 
-    def test_double_transform_recovers(self):
-        rng = random.Random(31)
-        for q, t in ((2, 4), (3, 4), (2, 5)):
-            p = SchemeParams(q, t)
-            f = make_field(q)
-            whole = q ** (p.m * p.n)
-            for _ in range(8):
-                c = random_code(p, f, rng.randint(0, p.num_coords), rng)
-                w = weight_distribution(c)
-                fwd = transform_matrix(w, c.size, p)
-                back = transform_matrix(fwd, whole // c.size, p)
-                assert back.counts == w.counts
-
     @pytest.mark.parametrize("q", FIELDS)
     @settings(max_examples=40, deadline=None)
     @given(data=st.data())

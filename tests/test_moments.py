@@ -5,7 +5,7 @@ from itertools import combinations
 
 import pytest
 
-from skewrank import gfcodes
+from skewrank import gfcodes, moments
 from skewrank.gfcodes import (
     dual,
     full_space_code,
@@ -372,7 +372,7 @@ class TestFindMsrd:
         assert self._digest(code) == self.PINNED_UNTABLED[case]
 
     def test_seed_0_basis_without_table(self, monkeypatch):
-        # the search ranks by _walk_ranks and keeps the tabled search's basis
+        # the search ranks by _alt_rank and keeps the tabled search's basis
         monkeypatch.setattr(gfcodes, "_RANK_TABLE_CAP", 0)
         monkeypatch.setattr(gfcodes, "_RANK_TABLES", {})
         assert rank_table(P25, make_field(2)) is None
@@ -380,6 +380,29 @@ class TestFindMsrd:
 
     def test_budget_exhaustion_returns_none(self):
         assert find_msrd(P24, 2, budget=400, seed=0) is None
+
+    @pytest.mark.parametrize("mode", ["table", "no-table"])
+    def test_each_walk_ranks_one_coset(self, monkeypatch, mode):
+        # cand + span(basis): at most q^|basis| words, not the grown span
+        if mode == "no-table":
+            monkeypatch.setattr(gfcodes, "_RANK_TABLE_CAP", 0)
+            monkeypatch.setattr(gfcodes, "_RANK_TABLES", {})
+        walks = []
+        real = moments._span_ranks
+
+        def counted(params, field, rows, start, tbl):
+            assert (tbl is None) == (mode == "no-table")
+            walks.append([field.q ** len(rows), 0])
+            for rank in real(params, field, rows, start, tbl):
+                walks[-1][1] += 1
+                yield rank
+
+        monkeypatch.setattr(moments, "_span_ranks", counted)
+        for q, t in ((2, 5), (3, 4), (4, 4)):
+            find_msrd(SchemeParams(q, t), 2, budget=300, seed=3)
+        assert len(walks) > 100
+        assert all(0 < ranked <= bound for bound, ranked in walks)
+        assert any(ranked == bound > 1 for bound, ranked in walks)
 
 
 class TestMsrd242Nonexistence:
