@@ -74,12 +74,15 @@ def cmd_macwilliams(args: argparse.Namespace) -> int:
             raise ValueError(f"--code excludes {', '.join(given)}")
         code = _load_code(args.code)
         params = code.params
-        dist = gfcodes.weight_distribution(code, args.budget)
+        budget = gfcodes.DEFAULT_BUDGET if args.budget is None else args.budget
+        dist = gfcodes.weight_distribution(code, budget)
         counts: list[int] = list(dist.counts)
         size = code.size
     else:
         if len(given) < 4:
             raise ValueError("need --code, or --dist with --size (and --q/--t)")
+        if args.budget is not None:  # nothing is enumerated
+            raise ValueError("--dist excludes --budget")
         params = SchemeParams(args.q, args.t)
         counts = [int(c) for c in args.dist.split(",")]
         size = args.size
@@ -256,6 +259,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.set_defaults(func=fn)
     # msrd-find's budget counts candidate samples, not words
     sub.choices["msrd-find"].set_defaults(budget=moments.SEARCH_BUDGET)
+    # macwilliams enumerates only with --code, so it must see an unset budget
+    sub.choices["macwilliams"].set_defaults(budget=None)
     return parser
 
 
@@ -263,7 +268,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        if getattr(args, "budget", 0) < 0:  # a count: negative is a typo
+        if (getattr(args, "budget", None) or 0) < 0:  # a count: negative is a typo
             parser.error(f"argument --budget: {args.budget} is negative")
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK

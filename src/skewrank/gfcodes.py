@@ -388,15 +388,26 @@ def _rank_table_key(params: SchemeParams, field: FieldSpec) -> tuple:
 def _build_rank_table(params: SchemeParams, field: FieldSpec) -> bytearray:
     """Skew rank of every matrix in the space, indexed by packed coords.
 
-    Two walks of the unit rows' span from zero move in step: the identity
-    range as table yields each word's packed index, no table its rank.
+    One projective walk of the unit rows ranks a word w of each line
+    through zero (the zero word's entry stays 0).  In step with it, for
+    each c = 1..q-1, the walk of the unit rows scaled by c, with the
+    identity range as table, yields the packed index of c w, whose rank is
+    that of w.
     """
     unit = full_space_code(params, field).basis_rows()
-    zero = (0,) * params.num_coords
+    mul = field._mul
     table = bytearray(field.q**params.num_coords)
-    for idx, rank in zip(_span_ranks(params, field, unit, zero, range(len(table))),
-                         _span_ranks(params, field, unit, zero, None)):
-        table[idx] = rank
+    indices = [_span_ranks(params, field, [[mul[c][v] for v in row] for row in unit],
+                           range(len(table)))
+               for c in range(1, field.q)]
+    walk = zip(_span_ranks(params, field, unit, None), *indices)
+    if field.q == 2:  # one index walk: no per-word list of indices
+        for rank, idx in walk:
+            table[idx] = rank
+    else:
+        for rank, *idxs in walk:
+            for idx in idxs:
+                table[idx] = rank
     return table
 
 
@@ -519,13 +530,6 @@ class LinearCode:
     def basis_rows(self) -> list[tuple[int, ...]]:
         return [b.upper for b in self.basis]
 
-    def same_span(self, other: "LinearCode") -> bool:
-        if self.k != other.k:
-            return False
-        mine, _ = _rref([list(r) for r in self.basis_rows()], self.field)
-        theirs, _ = _rref([list(r) for r in other.basis_rows()], self.field)
-        return mine == theirs
-
     def __repr__(self) -> str:
         return (f"LinearCode(q={self.params.q}, t={self.params.t}, "
                 f"k={self.k})")
@@ -589,9 +593,11 @@ def weight_distribution(code: LinearCode,
                         budget: int = DEFAULT_BUDGET) -> WeightDist:
     """Counts of codewords by skew rank over all q^k words.
 
-    The span is walked from the zero word by _span_ranks, with the rank
-    table when the space fits under the cap and is small next to the code
-    or already built.  Memory is O(1) in q^k: only the current word is held.
+    The zero word counts once, and each rank of the projective walk
+    _span_ranks counts q - 1 times, once per nonzero multiple of its word:
+    (q^k - 1)/(q - 1) words are ranked.  The walk uses the rank table when
+    the space fits under the cap and is small next to the code or already
+    built.  Memory is O(1) in q^k: only the current word is held.
     """
     params, field = code.params, code.field
     size = field.q**code.k
@@ -599,89 +605,110 @@ def weight_distribution(code: LinearCode,
         raise EnumerationBudgetError(
             f"q^k = {size} exceeds the enumeration budget {budget}"
         )
-    counts = [0] * (params.n + 1)
+    counts = [1] + [0] * params.n
     space = field.q**params.num_coords
     tbl = None
     if space <= _RANK_TABLE_CAP and (
         space <= 64 * size or _rank_table_key(params, field) in _RANK_TABLES
     ):
         tbl = rank_table(params, field)
-    for rank in _span_ranks(params, field, code.basis_rows(),
-                            (0,) * params.num_coords, tbl):
-        counts[rank] += 1
+    multiples = field.q - 1
+    for rank in _span_ranks(params, field, code.basis_rows(), tbl):
+        counts[rank] += multiples
     return WeightDist(params, tuple(counts))
 
 
-def _span_ranks(params: SchemeParams, field: FieldSpec, rows, start, tbl):
-    """Skew rank of start + w for every w in the span of rows: q^k values.
+def _span_ranks(params: SchemeParams, field: FieldSpec, rows, tbl):
+    """Skew rank of rows[i] + w for every w in span(rows[i+1:]), i = 0..k-1.
 
-    The walk runs over the F_p-basis of the span, each row times x^j for
-    j < e (x^j is the integer p^j), in modular p-ary Gray order (Knuth,
-    TAOCP 4A, 7.2.1.1): start first, then step s = 1..q^k - 1 adds basis
-    vector number v_p(s).  With a table the walk carries the packed base-q
-    index and yields tbl[index]; with tbl None it carries the matrix in
-    _alt_rank's form and ranks it.  The choice is made once, outside the
+    That is one nonzero word on each line through zero of span(rows), its
+    projective points: (q^k - 1)/(q - 1) values, rows[0] + span(rows[1:])
+    first.  The other words of a line are its nonzero multiples, which have
+    the same skew rank.
+
+    Each coset is walked over the F_p-basis of its span, each row times x^j
+    for j < e (x^j is the integer p^j), in modular p-ary Gray order (Knuth,
+    TAOCP 4A, 7.2.1.1): the start first, then step s = 1..p^m - 1 adds
+    basis vector number v_p(s).  The vectors are the F_p-basis of
+    span(rows[1:]), last row first, then rows[0]: span(rows[i+1:]) is
+    spanned by the first m = (k-1-i)e of them and rows[i] is vector number
+    m.  So the step data are built once per call, and each coset restarts
+    the step loop on a prefix.  With a table the walk carries the packed
+    base-q index and yields tbl[index]; with tbl None it carries the matrix
+    in _alt_rank's form and ranks it.  The choice is made once, outside the
     step loops.
     """
-    t, q, p = params.t, field.q, field.p
+    t, q, p, e = params.t, field.q, field.p, field.e
     add, mul, neg = field._add, field._mul, field._neg
-    vectors = [[mul[p**j][v] for v in row] for row in rows for j in range(field.e)]
-    end = p ** len(vectors)
+    vectors = [[mul[p**j][v] for v in row] if j else row
+               for row in reversed(rows[1:]) for j in range(e)] + rows[:1]
+    starts = range(len(vectors) - 1, -1, -e)
     if tbl is not None and p == 2:
         # the index is the concatenation of the words' bits: a step is a XOR
-        idx = _pack(start, q)
         masks = [_pack(v, q) for v in vectors]
-        yield tbl[idx]
-        for s in range(1, end):
-            idx ^= masks[(s & -s).bit_length() - 1]
+        for m in starts:
+            idx = masks[m]
             yield tbl[idx]
+            for s in range(1, 1 << m):
+                idx ^= masks[(s & -s).bit_length() - 1]
+                yield tbl[idx]
     elif tbl is not None:
         # per vector, per coordinate of its support: the coordinate, its new
-        # value and the change of the packed index, both by old value
-        word, idx = list(start), _pack(start, q)
+        # value and the change of the packed index, both by old value; rows[0]
+        # is never a step, and each start is packed as its coset begins
         steps = [
             [(c, add[g], [(add[g][v] - v) * q**c for v in range(q)])
              for c, g in enumerate(vec) if g]
-            for vec in vectors
+            for vec in vectors[:-1]
         ]
-        yield tbl[idx]
-        for s in range(1, end):
-            r = 0
-            while not s % p:
-                s //= p
-                r += 1
-            for c, new, delta in steps[r]:
-                old = word[c]
-                word[c] = new[old]
-                idx += delta[old]
+        for m in starts:
+            word = list(vectors[m])
+            idx = _pack(word, q)
             yield tbl[idx]
+            for s in range(1, p**m):
+                r = 0
+                while not s % p:
+                    s //= p
+                    r += 1
+                for c, new, delta in steps[r]:
+                    old = word[c]
+                    word[c] = new[old]
+                    idx += delta[old]
+                yield tbl[idx]
     elif q == 2:
         # the matrix is one int, and a step XORs in the vector's mask
-        mat = _alt_form(t, field, start)
         masks = [_alt_form(t, field, v) for v in vectors]
-        yield _alt_rank(mat, t, field)
-        for s in range(1, end):
-            mat ^= masks[(s & -s).bit_length() - 1]
+        for m in starts:
+            mat = masks[m]
             yield _alt_rank(mat, t, field)
+            for s in range(1, 1 << m):
+                mat ^= masks[(s & -s).bit_length() - 1]
+                yield _alt_rank(mat, t, field)
     else:
         # t row lists, which a step updates at (i, j) and (j, i) on the
-        # vector's support
-        mat = _alt_form(t, field, start)
+        # vector's support; a coset starts as the zero matrix stepped once
+        mat = [[0] * t for _ in range(t)]
         steps = [
             [(mat[i], j, add[g], mat[j], i, add[neg[g]])
              for (i, j), g in zip(upper_positions(t), vec) if g]
             for vec in vectors
         ]
-        yield _alt_rank(mat, t, field)
-        for s in range(1, end):
-            r = 0
-            while not s % p:
-                s //= p
-                r += 1
-            for row_i, j, up, row_j, i, down in steps[r]:
+        for m in starts:
+            for row in mat:
+                row[:] = [0] * t
+            for row_i, j, up, row_j, i, down in steps[m]:
                 row_i[j] = up[row_i[j]]
                 row_j[i] = down[row_j[i]]
             yield _alt_rank(mat, t, field)
+            for s in range(1, p**m):
+                r = 0
+                while not s % p:
+                    s //= p
+                    r += 1
+                for row_i, j, up, row_j, i, down in steps[r]:
+                    row_i[j] = up[row_i[j]]
+                    row_j[i] = down[row_j[i]]
+                yield _alt_rank(mat, t, field)
 
 
 def min_distance(code: LinearCode, budget: int = DEFAULT_BUDGET) -> int:

@@ -82,11 +82,6 @@ class HPoly:
         """Apply lambda -> lambda - 2j to every coefficient."""
         return HPoly(self.q, [c.shift(j) for c in self.coeffs])
 
-    def subst_y_scaled(self, factor: RatLike) -> "HPoly":
-        """Substitute Y -> factor*Y, i.e. scale coefficient i by factor**i."""
-        f = Fraction(factor)
-        return HPoly(self.q, [c * f**i for i, c in enumerate(self.coeffs)])
-
     def __repr__(self) -> str:
         r = self.degree
         bits = [f"({c})*Y^{i}X^{r - i}" for i, c in enumerate(self.coeffs)]

@@ -13,6 +13,7 @@ import random
 from collections.abc import Iterable
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 
 from .gfcodes import (
     DEFAULT_BUDGET,
@@ -320,10 +321,12 @@ def find_msrd(
     """Seeded randomized search for a code attaining the Singleton-type bound.
 
     Greedy basis growth with early rejection: a candidate matrix joins the
-    basis only if every word of cand + span(basis), walked by _span_ranks,
-    keeps skew rank >= d.  That is the whole grown span: a new word
-    c cand + w with c != 0 is c (cand + w / c), and a nonzero multiple keeps
-    the skew rank (a candidate already in the span meets the zero word).
+    basis only if every word of cand + span(basis) keeps skew rank >= d.
+    That coset is the first q^|basis| ranks of the projective walk
+    _span_ranks of [cand, *basis].  It covers the whole grown span: a new
+    word c cand + w with c != 0 is c (cand + w / c), and a nonzero multiple
+    keeps the skew rank (a candidate already in the span meets the zero
+    word).
     Returns None once `budget` candidate samples are spent (existence is a
     property of the parameters, not of this search).
     """
@@ -351,7 +354,9 @@ def find_msrd(
             samples += 1
             if not any(cand):
                 continue
-            if all(r >= d for r in _span_ranks(params, field, basis, cand, tbl)):
+            coset = islice(_span_ranks(params, field, [cand, *basis], tbl),
+                           q ** len(basis))
+            if all(r >= d for r in coset):
                 basis.append(cand)
                 stuck = 0
             else:

@@ -11,8 +11,8 @@ from __future__ import annotations
 import warnings
 from fractions import Fraction
 
-from .homopoly import HPoly, evaluate, mu_power, nu_power
-from .lambda_ring import LambdaScalar, gamma_lambda
+from .homopoly import HPoly, evaluate, nu_power
+from .lambda_ring import LambdaScalar
 from .qcombinat import beta, sigma
 
 
@@ -77,18 +77,3 @@ def eval_nu_derivative_at_ones(q: int, j: int, l: int) -> Fraction:
             f"nu^[{j}] derivative order {l} at (1,1): got {value}, expected {expected}"
         )
     return value
-
-
-def mu_inv_derivative_closed(q: int, k: int, phi: int) -> HPoly:
-    """Closed form of the phi-th Y-derivative of mu^[k].
-
-    q^{-2 sigma(phi)} beta(k,phi) gamma_lambda(phi) mu^[k-phi](lambda - 2 phi);
-    used as the reference side of the corresponding identity test.
-    """
-    if not (0 <= phi <= k):
-        raise ValueError(f"need 0 <= phi={phi} <= k={k}")
-    base = mu_power(q, k - phi).shift_lambda(phi)
-    scalar = gamma_lambda(q, phi) * (
-        Fraction(q) ** (-2 * sigma(phi)) * beta(q, k, phi)
-    )
-    return base.scale(scalar)

@@ -3,8 +3,9 @@ from fractions import Fraction
 
 import pytest
 
-from skewrank.homopoly import HPoly
-from skewrank.lambda_ring import LambdaScalar
+from skewrank.homopoly import HPoly, mu_power
+from skewrank.lambda_ring import LambdaScalar, gamma_lambda
+from skewrank.qcombinat import beta, sigma
 
 ACCEPTANCE_PAIRS = ((2, 4), (2, 5), (2, 6), (3, 4), (3, 5))
 
@@ -29,6 +30,19 @@ def random_hpoly(rng: random.Random, q: int, max_deg: int = 4,
                  min_deg: int = 0) -> HPoly:
     deg = rng.randint(min_deg, max_deg)
     return HPoly(q, [random_lambda_scalar(rng, q) for _ in range(deg + 1)])
+
+
+def mu_inv_derivative_closed(q: int, k: int, phi: int) -> HPoly:
+    """Closed form of the phi-th Y-derivative of mu^[k], 0 <= phi <= k.
+
+    q^{-2 sigma(phi)} beta(k,phi) gamma_lambda(phi) mu^[k-phi](lambda - 2 phi):
+    the reference side of the mu inverse-derivative rule.
+    """
+    base = mu_power(q, k - phi).shift_lambda(phi)
+    scalar = gamma_lambda(q, phi) * (
+        Fraction(q) ** (-2 * sigma(phi)) * beta(q, k, phi)
+    )
+    return base.scale(scalar)
 
 
 @pytest.fixture(scope="session")

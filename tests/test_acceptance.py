@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import ACCEPTANCE_PAIRS, random_hpoly
+from conftest import ACCEPTANCE_PAIRS, mu_inv_derivative_closed, random_hpoly
 from skewrank.gfcodes import (
     _build_rank_table,
     _RANK_TABLES,
@@ -46,7 +46,6 @@ from skewrank.moments import (
 )
 from skewrank.qcalculus import (
     eval_nu_derivative_at_ones,
-    mu_inv_derivative_closed,
     q_derivative,
     q_inv_derivative,
 )

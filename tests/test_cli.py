@@ -177,6 +177,18 @@ class TestSubcommands:
         assert captured.out == ""
         assert captured.err == f"error: --code excludes {named}\n"
 
+    def test_macwilliams_dist_excludes_budget(self, capsys):
+        # only the --code route enumerates, so a dist-mode budget is a typo
+        code = main(["macwilliams", "--dist", "1,44,36", "--size", "81",
+                     "--q", "3", "--t", "4", "--budget", "1"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == "error: --dist excludes --budget\n"
+        # with --code the budget still bounds the enumeration
+        code, _ = run_cli(capsys, "macwilliams", "--code", EXAMPLE, "--budget", "80")
+        assert code == 3
+
     @pytest.mark.parametrize("dist, size, message", [
         ("-81,0,0", "-81", "code size -81 is not positive"),
         ("2,-1,0", "1", "negative count"),

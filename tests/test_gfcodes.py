@@ -520,7 +520,7 @@ class TestDual:
                 c = random_code(p, f, k, rng)
                 d = dual(c)
                 assert c.k + d.k == p.num_coords
-                assert dual(d).same_span(c)
+                assert same_span(dual(d), c)
 
     def test_trace_pairing_matches_for_odd_q(self):
         # Tr(A^T B) = 2 * coordinate pairing, so the dual words pair to zero
@@ -542,6 +542,12 @@ class TestDual:
                                     tr, f.mul(a_full[j][i], b_full[j][i])
                                 )
                         assert tr == 0
+
+
+def same_span(a, b):
+    """Do two codes have the same row space, i.e. the same reduced basis?"""
+    return (_rref([list(r) for r in a.basis_rows()], a.field)
+            == _rref([list(r) for r in b.basis_rows()], b.field))
 
 
 def dense_code(params, field, k, rng):
@@ -574,6 +580,11 @@ def product_oracle(code, start=None):
             word = word.add(b.scale(c))
         counts[skew_rank(word)] += 1
     return tuple(counts)
+
+
+def rank_counts(params, ranks):
+    """Counts of the ranks by value, indices 0..n."""
+    return tuple(ranks.count(r) for r in range(params.n + 1))
 
 
 class OracleTable:
@@ -851,8 +862,17 @@ class TestEnumerationPaths:
         import skewrank.gfcodes as g
 
         monkeypatch.setattr(g, "_RANK_TABLES", {})
+        calls = 0
         if mode == "no-table":
             monkeypatch.setattr(g, "_RANK_TABLE_CAP", 0)
+            real = g._alt_rank
+
+            def counted(*args):
+                nonlocal calls
+                calls += 1
+                return real(*args)
+
+            monkeypatch.setattr(g, "_alt_rank", counted)
         rng = random.Random(57)
         cases = [(q, 4) for q in (2, 3, 4, 5, 7, 8, 9)] + [(2, 5), (3, 5)]
         if mode == "no-table":
@@ -863,37 +883,56 @@ class TestEnumerationPaths:
             table = OracleTable(p, f)
             if mode == "table":
                 g._RANK_TABLES[g._rank_table_key(p, f)] = table
+            tbl = table if mode == "table" else None
             for k in range(4):
                 if q**k > 800:
                     continue
                 code = dense_code(p, f, k, rng)
+                rows = code.basis_rows()
+                # k = 0 walks nothing and counts the zero word alone
+                calls = table.lookups = 0
                 assert weight_distribution(code).counts == product_oracle(code)
-                # from a random nonzero word, and from a nonzero word of the
-                # span, whose walk must meet the zero word
-                tbl = table if mode == "table" else None
-                starts = [random_nonzero(p.num_coords, q, rng)]
+                # one word is ranked per line through zero
+                assert calls + table.lookups == (q**k - 1) // (q - 1)
+                # coset i is rows[i] + span(rows[i+1:]), in order of i
+                ranks = list(g._span_ranks(p, f, rows, tbl))
+                assert len(ranks) == (q**k - 1) // (q - 1)
+                for i in range(k):
+                    tail = LinearCode(p, f, code.basis[i + 1:])
+                    coset, ranks = ranks[:tail.size], ranks[tail.size:]
+                    assert rank_counts(p, coset) == product_oracle(tail, rows[i])
+                # find_msrd's coset cand + span(rows), from a random nonzero
+                # word and from a nonzero word of the span, which meets zero
+                cands = [random_nonzero(p.num_coords, q, rng)]
                 if k:
-                    starts.append(code.basis[-1].scale(rng.randrange(1, q)).upper)
-                for start in starts:
-                    ranks = list(g._span_ranks(p, f, code.basis_rows(), start, tbl))
-                    assert len(ranks) == q**k
-                    counts = tuple(ranks.count(r) for r in range(p.n + 1))
-                    assert counts == product_oracle(code, start)
-                assert not k or 0 in ranks  # the last walk began in the span
+                    cands.append(code.basis[-1].scale(rng.randrange(1, q)).upper)
+                for cand in cands:
+                    walk = g._span_ranks(p, f, [cand, *rows], tbl)
+                    coset = list(itertools.islice(walk, q**k))
+                    assert len(coset) == q**k
+                    assert rank_counts(p, coset) == product_oracle(code, cand)
+                assert not k or 0 in coset
             assert (table.lookups > 0) == (mode == "table")
 
     def test_walk_memory_is_constant(self):
         p, f = SchemeParams(3, 5), make_field(3)
-        rank_table(p, f)
+        want = rank_table(p, f)
         code = full_space_code(p, f)
         tracemalloc.start()
         try:
             wd = weight_distribution(code)
-            _, peak = tracemalloc.get_traced_memory()
+            _, walk_peak = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            table = _build_rank_table(p, f)
+            _, build_peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert wd.counts == tuple(xi(p, s) for s in range(p.n + 1))
-        assert peak < 1 << 20
+        assert walk_peak < 1 << 20
+        # the build holds the 59 kB table and O(k) walk state: a list of
+        # its 29524 projective ranks alone would take 236 kB
+        assert table == want
+        assert build_peak < 2 * len(table)
 
     def test_xor_path_matches_tuple_path(self, monkeypatch):
         import skewrank.gfcodes as g

@@ -390,10 +390,10 @@ class TestFindMsrd:
         walks = []
         real = moments._span_ranks
 
-        def counted(params, field, rows, start, tbl):
+        def counted(params, field, rows, tbl):
             assert (tbl is None) == (mode == "no-table")
-            walks.append([field.q ** len(rows), 0])
-            for rank in real(params, field, rows, start, tbl):
+            walks.append([field.q ** (len(rows) - 1), 0])
+            for rank in real(params, field, rows, tbl):
                 walks[-1][1] += 1
                 yield rank
 

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import random_hpoly
+from conftest import mu_inv_derivative_closed, random_hpoly
 from skewrank.homopoly import (
     HPoly,
     evaluate,
@@ -13,7 +13,6 @@ from skewrank.homopoly import (
 )
 from skewrank.qcalculus import (
     eval_nu_derivative_at_ones,
-    mu_inv_derivative_closed,
     q_derivative,
     q_inv_derivative,
 )
@@ -230,6 +229,12 @@ class TestLeibniz:
                     assert lhs == rhs
 
 
+def subst_y_scaled(p, factor):
+    """p(X, factor Y): coefficient i scaled by factor**i."""
+    f = Fraction(factor)
+    return HPoly(p.q, [c * f**i for i, c in enumerate(p.coeffs)])
+
+
 class TestDivisionIdentities:
     def _div_x(self, p):
         # valid only when the Y^r X^0 coefficient vanishes
@@ -257,5 +262,5 @@ class TestDivisionIdentities:
             v = HPoly(q, list(v.coeffs[:-1]) + [0])
             prod = skew_q_product(u, v)
             assert self._div_x(prod) == skew_q_product(
-                u.subst_y_scaled(q**2), self._div_x(v)
+                subst_y_scaled(u, q**2), self._div_x(v)
             )
