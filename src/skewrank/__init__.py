@@ -3,7 +3,8 @@
 Linear codes of alternating matrices over GF(q), their weight
 distributions, and the transform relating a code's distribution to its
 dual's -- computed three independent ways and cross-checked, all in exact
-rational arithmetic.
+arithmetic: ints where the value is an integer, Fraction only for negative
+arguments (negative powers of q and what they enter).
 """
 
 from .gfcodes import (

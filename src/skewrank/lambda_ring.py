@@ -10,6 +10,7 @@ equality is decidable termwise.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
 from .qcombinat import _qpow
 
@@ -122,12 +123,26 @@ class LambdaScalar:
             {e: c * _qpow(self.q, -2 * j * e) for e, c in self._terms.items()},
         )
 
-    def eval_lambda(self, lam: int) -> Fraction:
-        """Exact value at Q = q**lam."""
-        out = Fraction(0)
-        for e, c in self._terms.items():
-            out += c * _qpow(self.q, lam * e)
-        return out
+    def eval_lambda(self, lam: int) -> int | Fraction:
+        """Exact value at Q = q**lam; an int when the value is integral.
+
+        The terms are summed as integer numerators over one common
+        denominator: the lcm of the coefficient denominators, times
+        q**(-low) when the lowest exponent low of q is negative.
+        """
+        terms = self._terms
+        if not terms:
+            return 0
+        q = self.q
+        low = min(0, lam * min(terms), lam * max(terms))
+        den = lcm(*[c.denominator for c in terms.values()])
+        num = sum([
+            c.numerator * (den // c.denominator) * q ** (lam * e - low)
+            for e, c in terms.items()
+        ])
+        den *= q**-low
+        val, rem = divmod(num, den)
+        return Fraction(num, den) if rem else val
 
     def __repr__(self) -> str:
         if not self._terms:
@@ -148,7 +163,7 @@ def shift(s: LambdaScalar, j: int) -> LambdaScalar:
     return s.shift(j)
 
 
-def eval_lambda(s: LambdaScalar, lam: int) -> Fraction:
+def eval_lambda(s: LambdaScalar, lam: int) -> int | Fraction:
     return s.eval_lambda(lam)
 
 

@@ -40,17 +40,18 @@ def _as_counts(w: WeightDist | list[int] | tuple[int, ...], code_size: int,
     return counts
 
 
-def _finalize(raw: list[int] | list[Fraction], code_size: int,
+def _finalize(raw: list[int | Fraction], code_size: int,
               params: SchemeParams) -> WeightDist:
     counts = []
-    for k, val in enumerate(raw):
-        val = Fraction(val, code_size)
-        if val.denominator != 1 or val < 0:
+    for k, total in enumerate(raw):
+        val, rem = divmod(total, code_size)
+        if rem or val < 0:
             raise ValueError(
-                f"transform output entry {k} is {val}, not a nonnegative "
-                f"integer; the input distribution is inconsistent"
+                f"transform output entry {k} is {Fraction(total, code_size)}, "
+                f"not a nonnegative integer; the input distribution is "
+                f"inconsistent"
             )
-        counts.append(int(val))
+        counts.append(val)
     return WeightDist(params, tuple(counts))
 
 
@@ -78,7 +79,7 @@ def transform_functional(w: WeightDist | list[int], code_size: int,
     """
     counts = _as_counts(w, code_size, params)
     q, n, m = params.q, params.n, params.m
-    raw = [Fraction(0)] * (n + 1)
+    raw = [0] * (n + 1)
     for i, c in enumerate(counts):
         if c == 0:
             continue

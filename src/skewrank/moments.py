@@ -45,29 +45,26 @@ def _gauss0(q: int, x: int, k: int) -> Fraction:
 # ---------------------------------------------------------------------------
 
 
-def _first_sum(counts, phi: int, q: int, n: int) -> Fraction:
-    """sum_{i<=n-phi} [n-i, phi] c_i."""
+def _first_sum(counts, phi: int, q: int, n: int):
+    """sum_{i<=n-phi} [n-i, phi] c_i; an int for int counts."""
+    return sum(gauss(q, n - i, phi) * counts[i] for i in range(n - phi + 1))
+
+
+def _second_sum(counts, phi: int, q: int, n: int):
+    """sum_{i>=phi} q^{2 phi (n-i)} [i, phi] c_i; an int for int counts."""
     return sum(
-        (gauss(q, n - i, phi) * counts[i] for i in range(n - phi + 1)),
-        Fraction(0),
+        q ** (2 * phi * (n - i)) * gauss(q, i, phi) * counts[i]
+        for i in range(phi, n + 1)
     )
 
 
-def _second_sum(counts, phi: int, q: int, n: int) -> Fraction:
-    """sum_{i>=phi} q^{2 phi (n-i)} [i, phi] c_i."""
-    return sum(
-        (
-            q ** (2 * phi * (n - i)) * gauss(q, i, phi) * counts[i]
-            for i in range(phi, n + 1)
-        ),
-        Fraction(0),
-    )
-
-
-def _gamma_sum(counts, phi: int, q: int, n: int, m: int) -> Fraction:
+def _gamma_sum(counts, phi: int, q: int, n: int, m: int):
     """The alternating sum over i <= phi of
-    (-1)^i q^{2 sigma_i + 2i(phi-i)} [n-i, n-phi] gamma(m-2i, phi-i) c_i."""
-    total = Fraction(0)
+    (-1)^i q^{2 sigma_i + 2i(phi-i)} [n-i, n-phi] gamma(m-2i, phi-i) c_i.
+
+    An int for int counts: m - 2i < 0 only at i = phi = n of even t, where
+    gamma is the empty product."""
+    total = 0
     for i in range(phi + 1):
         total += (
             (-1) ** i
@@ -258,27 +255,23 @@ def epsilon_closed(q: int, lam_big: int, phi: int, i: int) -> Fraction:
 # ---------------------------------------------------------------------------
 
 
-def forward_sequence(b: list[Fraction], l: int, q: int) -> list[Fraction]:
+def forward_sequence(b: list, l: int, q: int) -> list:
     """a_j = sum_{i<=j} [l-i, l-j] b_i for 0 <= j <= l."""
     if len(b) != l + 1:
         raise ValueError(f"need {l + 1} values, got {len(b)}")
     return [_first_sum(b, l - j, q, l) for j in range(l + 1)]
 
 
-def invert_sequence(a: list[Fraction], l: int, q: int) -> list[Fraction]:
-    """b_i = sum_{j<=i} (-1)^{i-j} q^{2 sigma_{i-j}} [l-j, l-i] a_j."""
+def invert_sequence(a: list, l: int, q: int) -> list:
+    """b_i = sum_{j<=i} (-1)^{i-j} q^{2 sigma_{i-j}} [l-j, l-i] a_j.
+
+    The coefficients are ints, so int values of a give int values of b."""
     if len(a) != l + 1:
         raise ValueError(f"need {l + 1} values, got {len(a)}")
     return [
         sum(
-            (
-                (-1) ** (i - j)
-                * q ** (2 * sigma(i - j))
-                * gauss(q, l - j, l - i)
-                * a[j]
-                for j in range(i + 1)
-            ),
-            Fraction(0),
+            (-1) ** (i - j) * q ** (2 * sigma(i - j)) * gauss(q, l - j, l - i) * a[j]
+            for j in range(i + 1)
         )
         for i in range(l + 1)
     ]
@@ -290,8 +283,8 @@ def msrd_distribution(params: SchemeParams, d: int) -> WeightDist:
     d = n+1 encodes the zero code (the dual edge of d = 1).  The dual has
     minimum distance n-d+2, so the first moments at phi <= n-d see only its
     zero word; invert_sequence solves the triangular system they form for
-    c_d..c_n.  The counts sum to |C| = q^{m(n-d+1)}; a non-integral or
-    negative one raises ArithmeticError.
+    c_d..c_n, in ints.  The counts sum to |C| = q^{m(n-d+1)}; a negative
+    one raises ArithmeticError.
     """
     q, n, m = params.q, params.n, params.m
     if not 1 <= d <= n + 1:
@@ -301,11 +294,11 @@ def msrd_distribution(params: SchemeParams, d: int) -> WeightDist:
     low = [gauss(q, n, d + j) * (q ** (m * (j + 1)) - 1) for j in range(n - d + 1)]
     counts = [1] + [0] * (d - 1)
     for r, val in enumerate(invert_sequence(low, n - d, q)):
-        if val.denominator != 1 or val < 0:
+        if val < 0:
             raise ArithmeticError(
                 f"msrd coefficient c_{d + r} = {val} is not a nonnegative integer"
             )
-        counts.append(int(val))
+        counts.append(val)
     dist = WeightDist(params, tuple(counts))
     if dist.size != size:
         raise ArithmeticError(f"msrd distribution sums to {dist.size}, not {size}")

@@ -1,10 +1,12 @@
 """Exact q^2-analog combinatorial kernel.
 
-Everything here is computed with arbitrary-precision rationals
-(`fractions.Fraction`); there is no floating point anywhere in this
-package.  The central objects are the Gaussian coefficients at base q^2,
-the gamma and beta product functions built from them, and the census
-count of alternating matrices by skew rank.
+Every value here is exact: a Python int wherever the value is an integer,
+and a `fractions.Fraction` only for negative arguments (q**e with e < 0,
+and the Gaussian coefficients and gamma products they enter).  There is no
+floating point anywhere in this package.  The central objects are the
+Gaussian coefficients at base q^2, the gamma and beta product functions
+built from them, and the census count of alternating matrices by skew
+rank.
 """
 
 from __future__ import annotations
@@ -63,49 +65,56 @@ class SchemeParams:
         return self.t * (self.t - 1) // 2
 
 
-def _qpow(q: int, e: int) -> Fraction:
-    """q**e as an exact rational, for any integer exponent."""
+def _qpow(q: int, e: int) -> int | Fraction:
+    """q**e: an int for e >= 0, a Fraction for e < 0."""
     if e >= 0:
-        return Fraction(q**e)
+        return q**e
     return Fraction(1, q ** (-e))
 
 
-def gauss(q: int, x: int, k: int) -> Fraction:
+def gauss(q: int, x: int, k: int) -> int | Fraction:
     """Gaussian coefficient [x choose k] at base q^2.
 
-    prod_{i<k} (q^{2x} - q^{2i}) / (q^{2k} - q^{2i}).  Empty product is 1.
-    Zero for integer 0 <= x < k; negative x yields nonzero rationals.
+    prod_{i<k} (q^{2x} - q^{2i}) / (q^{2k} - q^{2i}), taken as
+    prod_{i<k} (q^{2(x-i)} - 1) / (q^{2(k-i)} - 1).  Empty product is 1.
+    An int for x >= 0 (zero for x < k; the division is checked exact,
+    ArithmeticError otherwise); negative x yields nonzero Fractions.
     """
     if k < 0:
         raise ValueError(f"k={k} must be >= 0")
     if 0 <= x < k:
-        return Fraction(0)
-    num = Fraction(1)
-    den = 1
-    qx = _qpow(q, 2 * x)
+        return 0
+    if x >= 0:
+        k = min(k, x - k)  # [x, k] = [x, x - k]
+    big = q * q
+    num = den = 1
     for i in range(k):
-        q2i = q ** (2 * i)
-        num *= qx - q2i
-        den *= q ** (2 * k) - q2i
-    return num / den
+        num *= _qpow(big, x - i) - 1
+        den *= big ** (k - i) - 1
+    if x < 0:
+        return Fraction(num, den)
+    val, rem = divmod(num, den)
+    if rem:
+        raise ArithmeticError(f"gauss({q}, {x}, {k}) is not an exact division")
+    return val
 
 
-def gamma(q: int, x: int, k: int) -> Fraction:
-    """prod_{i<k} (q^x - q^{2i}); 1 for k = 0."""
+def gamma(q: int, x: int, k: int) -> int | Fraction:
+    """prod_{i<k} (q^x - q^{2i}); 1 for k = 0.  An int for x >= 0."""
     if k < 0:
         raise ValueError(f"k={k} must be >= 0")
     qx = _qpow(q, x)
-    out = Fraction(1)
+    out = 1
     for i in range(k):
         out *= qx - q ** (2 * i)
     return out
 
 
-def beta(q: int, x: int, k: int) -> Fraction:
-    """prod_{i<k} [x-i choose 1]; 1 for k = 0."""
+def beta(q: int, x: int, k: int) -> int | Fraction:
+    """prod_{i<k} [x-i choose 1]; 1 for k = 0.  An int for x >= k - 1."""
     if k < 0:
         raise ValueError(f"k={k} must be >= 0")
-    out = Fraction(1)
+    out = 1
     for i in range(k):
         out *= gauss(q, x - i, 1)
     return out

@@ -13,7 +13,7 @@ from fractions import Fraction
 
 from . import gfcodes, homopoly, krawtchouk, macwilliams, moments, qcalculus
 from .lambda_ring import LambdaScalar, gamma_lambda
-from .qcombinat import SchemeParams, beta, gamma, gauss, sigma, xi
+from .qcombinat import SchemeParams, beta, gamma, gauss, xi
 
 
 def _random_lambda_scalar(rng: random.Random, q: int) -> LambdaScalar:

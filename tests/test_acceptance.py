@@ -266,7 +266,7 @@ def test_criterion_5_identity_suite():
                     ) * g
             for x in range(11):
                 for k in range(x + 1):
-                    assert gamma(q, 2 * x, k) / gamma(q, 2 * k, k) == gauss(
+                    assert Fraction(gamma(q, 2 * x, k), gamma(q, 2 * k, k)) == gauss(
                         q, x, k
                     )
                     # beta lemma

@@ -105,6 +105,53 @@ class TestShiftEval:
                     assert eval_lambda(g, x) == gamma(q, x, k)
 
 
+def _eval_fraction_sum(s, lam):
+    """The value at Q = q**lam as a plain Fraction sum, term by term."""
+    return sum(
+        (c * Fraction(s.q) ** (lam * e) for e, c in s.terms().items()),
+        Fraction(0),
+    )
+
+
+class TestEvalCommonDenominator:
+    CASES = [
+        LambdaScalar.zero(3),
+        LambdaScalar.constant(5, 7),
+        LambdaScalar.constant(2, Fraction(-3, 8)),
+        # Laurent terms: negative exponents of Q
+        LambdaScalar(2, {-2: 3, -1: Fraction(-5, 2), 1: 1}),
+        LambdaScalar(4, {-3: 1, 2: -7}),
+        # denominators that are not powers of q; (1 + 2*5^lam)/3 is an
+        # integer exactly at even lam >= 0
+        LambdaScalar(5, {0: Fraction(1, 3), 1: Fraction(2, 3)}),
+        LambdaScalar(3, {-1: Fraction(1, 6), 2: Fraction(5, 7), 0: Fraction(1, 3)}),
+    ]
+
+    @pytest.mark.parametrize("s", CASES, ids=repr)
+    def test_matches_fraction_sum(self, s):
+        for lam in range(-6, 7):
+            want = _eval_fraction_sum(s, lam)
+            got = s.eval_lambda(lam)
+            assert got == want, lam
+            assert (type(got) is int) == (want.denominator == 1), lam
+
+    def test_random_scalars_match_fraction_sum(self):
+        rng = random.Random(12)
+        for _ in range(300):
+            s = random_lambda_scalar(rng, rng.choice((2, 3, 4, 5, 7, 8, 9)), 5)
+            lam = rng.randint(-8, 8)
+            want = _eval_fraction_sum(s, lam)
+            got = eval_lambda(s, lam)
+            assert got == want
+            assert (type(got) is int) == (want.denominator == 1)
+
+    def test_integral_values_are_ints(self):
+        s = LambdaScalar(5, {0: Fraction(1, 3), 1: Fraction(2, 3)})
+        assert s.eval_lambda(2) == 17 and type(s.eval_lambda(2)) is int
+        assert s.eval_lambda(1) == Fraction(11, 3)
+        assert type(eval_lambda(LambdaScalar.zero(2), 5)) is int
+
+
 class TestRingAxioms:
     @settings(max_examples=60)
     @given(a=scalars_over(3), b=scalars_over(3), c=scalars_over(3))

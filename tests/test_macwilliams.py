@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -122,20 +123,39 @@ def test_three_way_agreement_on_larger_fields(q):
         assert rep.dual_dist_enum.counts == rep.dual_dist_functional.counts
 
 
+@pytest.mark.parametrize("q", FIELDS)
+def test_routes_agree_on_msrd_past_the_sweep(q):
+    # past the benchmark's t <= 15, both routes in ints on every MSRD
+    # distribution, and the raw vectors agree with the Fraction oracle
+    for t in range(16, 25):
+        p = SchemeParams(q, t)
+        for d in range(1, p.n + 2):
+            w = msrd_distribution(p, d)
+            fun = transform_functional(w, w.size, p)
+            assert fun == transform_matrix(w, w.size, p), (t, d)
+            assert fun == msrd_distribution(p, p.n - d + 2), (t, d)
+            if t == 24:
+                raw_matrix, raw_fun = p_transform_pair(w.counts, w.size, p)
+                assert raw_matrix == raw_fun, d
+
+
 def p_transform_pair(counts, size, p):
-    # the raw fraction vectors before integrality checks must agree, so
-    # compare entrywise after scaling by the size
+    # the raw vectors before integrality checks must agree, so compare
+    # entrywise after scaling by the size; the functional side is summed
+    # term by term in Fractions, as an oracle of eval_lambda's int sums
     from skewrank.krawtchouk import p_matrix
     from skewrank.macwilliams import _transform_basis
 
     raw_matrix = p_matrix(p).transform(list(counts))
+    qm = Fraction(p.q) ** p.m
     raw_fun = []
     for k in range(p.n + 1):
-        acc = 0
+        acc = Fraction(0)
         for i, c in enumerate(counts):
-            acc += c * _transform_basis(p.q, p.n, i).coefficient(
-                k
-            ).eval_lambda(p.m)
+            coeff = _transform_basis(p.q, p.n, i).coefficient(k)
+            acc += c * sum(
+                (v * qm**e for e, v in coeff.terms().items()), Fraction(0)
+            )
         raw_fun.append(acc)
     return raw_matrix, raw_fun
 

@@ -198,6 +198,17 @@ class TestInversion:
         with pytest.raises(ValueError):
             invert_sequence([Fraction(1)], 3, 2)
 
+    def test_round_trip_in_ints(self):
+        rng = random.Random(19)
+        for q in (2, 3, 4, 5, 7, 8, 9):
+            for l in range(9):
+                a = [rng.randint(-10**6, 10**6) for _ in range(l + 1)]
+                b = invert_sequence(a, l, q)
+                assert all(type(v) is int for v in b)
+                back = forward_sequence(b, l, q)
+                assert all(type(v) is int for v in back)
+                assert back == a
+
 
 def _msrd_double_sum(params, d):
     """The forced counts as the explicit double sum
@@ -253,6 +264,23 @@ class TestMsrdDistribution:
     def test_zero_dual_edge(self):
         dist = msrd_distribution(P34, P34.n + 1)
         assert dist.counts == (1, 0, 0)
+
+    # sha256 of the lines "q t d counts" over q in FIELDS, t = 2..20 and
+    # d = 1..n+1, as the Fraction inversion computed them
+    PINNED_DIGEST = (
+        "c12fba9150efc2dec85f751131b1fecaaf199a39155724ce64559c12d60b2646"
+    )
+
+    def test_pinned_digest(self):
+        h = hashlib.sha256()
+        for q in (2, 3, 4, 5, 7, 8, 9):
+            for t in range(2, 21):
+                p = SchemeParams(q, t)
+                for d in range(1, p.n + 2):
+                    counts = msrd_distribution(p, d).counts
+                    assert all(type(c) is int for c in counts)
+                    h.update(f"{q} {t} {d} {counts}\n".encode())
+        assert h.hexdigest() == self.PINNED_DIGEST
 
     def test_out_of_range(self):
         with pytest.raises(ValueError):

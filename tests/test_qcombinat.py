@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from skewrank.krawtchouk import gauss_base
 from skewrank.qcombinat import (
     SchemeParams,
     beta,
@@ -16,6 +17,7 @@ from skewrank.qcombinat import (
 )
 
 QS = (2, 3, 4, 5)
+FIELDS = (2, 3, 4, 5, 7, 8, 9)
 
 
 class TestSchemeParams:
@@ -59,6 +61,17 @@ class TestGauss:
     def test_negative_x_is_rational(self):
         assert gauss(2, -1, 1) == Fraction(-3, 4) / 3
         assert gauss(3, -2, 1) != 0
+
+    @pytest.mark.parametrize("q", FIELDS)
+    def test_int_and_matches_rational_base_oracle(self, q):
+        # at x >= 0 the value is an int, equal to the Fraction product of
+        # the Gaussian coefficient at the rational base q^2
+        base = Fraction(q * q)
+        for x in range(13):
+            for k in range(x + 1):
+                g = gauss(q, x, k)
+                assert type(g) is int, (x, k)
+                assert g == gauss_base(base, x, k), (x, k)
 
     def test_symmetry(self):
         for q in QS:
@@ -169,6 +182,13 @@ class TestGammaBeta:
         with pytest.raises(ValueError):
             beta(2, 3, -2)
 
+    def test_gamma_is_int_for_nonnegative_x(self):
+        for q in FIELDS:
+            for x in range(13):
+                for k in range(8):
+                    assert type(gamma(q, x, k)) is int, (q, x, k)
+        assert type(gamma(2, -1, 1)) is Fraction
+
     def test_gamma_identities(self):
         for q in (2, 3):
             for x in range(-4, 13):
@@ -191,7 +211,7 @@ class TestGammaBeta:
         for q in (2, 3):
             for x in range(10):
                 for k in range(x + 1):
-                    assert gamma(q, 2 * x, k) / gamma(q, 2 * k, k) == gauss(
+                    assert Fraction(gamma(q, 2 * x, k), gamma(q, 2 * k, k)) == gauss(
                         q, x, k
                     )
 
