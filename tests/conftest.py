@@ -26,6 +26,15 @@ def random_lambda_scalar(rng: random.Random, q: int,
     return LambdaScalar(q, terms)
 
 
+def eval_fraction_sum(s: LambdaScalar, lam: int) -> Fraction:
+    """The value of s at Q = q**lam as a plain Fraction sum, term by term:
+    an oracle of LambdaScalar.eval_lambda's common-denominator int sum."""
+    return sum(
+        (c * Fraction(s.q) ** (lam * e) for e, c in s.terms().items()),
+        Fraction(0),
+    )
+
+
 def random_hpoly(rng: random.Random, q: int, max_deg: int = 4,
                  min_deg: int = 0) -> HPoly:
     deg = rng.randint(min_deg, max_deg)

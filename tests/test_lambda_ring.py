@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_lambda_scalar
+from conftest import eval_fraction_sum, random_lambda_scalar
 from skewrank.lambda_ring import LambdaScalar, eval_lambda, gamma_lambda, shift
 from skewrank.qcombinat import gamma
 
@@ -105,14 +105,6 @@ class TestShiftEval:
                     assert eval_lambda(g, x) == gamma(q, x, k)
 
 
-def _eval_fraction_sum(s, lam):
-    """The value at Q = q**lam as a plain Fraction sum, term by term."""
-    return sum(
-        (c * Fraction(s.q) ** (lam * e) for e, c in s.terms().items()),
-        Fraction(0),
-    )
-
-
 class TestEvalCommonDenominator:
     CASES = [
         LambdaScalar.zero(3),
@@ -130,7 +122,7 @@ class TestEvalCommonDenominator:
     @pytest.mark.parametrize("s", CASES, ids=repr)
     def test_matches_fraction_sum(self, s):
         for lam in range(-6, 7):
-            want = _eval_fraction_sum(s, lam)
+            want = eval_fraction_sum(s, lam)
             got = s.eval_lambda(lam)
             assert got == want, lam
             assert (type(got) is int) == (want.denominator == 1), lam
@@ -140,7 +132,7 @@ class TestEvalCommonDenominator:
         for _ in range(300):
             s = random_lambda_scalar(rng, rng.choice((2, 3, 4, 5, 7, 8, 9)), 5)
             lam = rng.randint(-8, 8)
-            want = _eval_fraction_sum(s, lam)
+            want = eval_fraction_sum(s, lam)
             got = eval_lambda(s, lam)
             assert got == want
             assert (type(got) is int) == (want.denominator == 1)

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import eval_fraction_sum
 from skewrank.gfcodes import (
     dual,
     make_field,
@@ -147,15 +148,12 @@ def p_transform_pair(counts, size, p):
     from skewrank.macwilliams import _transform_basis
 
     raw_matrix = p_matrix(p).transform(list(counts))
-    qm = Fraction(p.q) ** p.m
     raw_fun = []
     for k in range(p.n + 1):
         acc = Fraction(0)
         for i, c in enumerate(counts):
             coeff = _transform_basis(p.q, p.n, i).coefficient(k)
-            acc += c * sum(
-                (v * qm**e for e, v in coeff.terms().items()), Fraction(0)
-            )
+            acc += c * eval_fraction_sum(coeff, p.m)
         raw_fun.append(acc)
     return raw_matrix, raw_fun
 
