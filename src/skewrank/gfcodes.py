@@ -14,8 +14,9 @@ from __future__ import annotations
 import random
 import warnings
 from dataclasses import dataclass
+from itertools import product
 
-from .qcombinat import SchemeParams, factor_prime_power
+from .qcombinat import SchemeParams, factor_prime_power, xi
 
 DEFAULT_BUDGET = 1 << 26
 _RANK_TABLE_CAP = 1 << 20
@@ -311,8 +312,9 @@ def _alt_form(t: int, field: FieldSpec, coords) -> int | list[list[int]]:
     return rows
 
 
-def canonical_decompose(a: SkewMat) -> tuple[list[list[int]], int]:
-    """Nonsingular P with P A P^T = diag{E2 x s, 0} and s the skew rank.
+def _pair_off(afull: list[list[int]],
+              field: FieldSpec) -> tuple[list[list[int]], list[list[int]]]:
+    """Hyperbolic pairs u1, v1, u2, v2, ... of an alternating A, and the rest.
 
     Symplectic reduction on the Gram matrix G = R A R^T of the rows R not
     yet paired, from R = I and G = A.  Each step takes the first (i, j),
@@ -321,11 +323,11 @@ def canonical_decompose(a: SkewMat) -> tuple[list[list[int]], int]:
     Every other row w_r becomes w_r - gu_r v + gv_r u, which pairs to zero
     with both, and G becomes G_rc + gv_r gu_c - gu_r gv_c over the rows
     that remain: the Schur complement of the 2 x 2 block, as in _alt_rank.
+    When G is zero, the rows left pair to zero with every row, so they are
+    a basis of ker A.
     """
-    field = a.field
-    t = a.params.t
+    t = len(afull)
     add, mul, neg, inv = field._add, field._mul, field._neg, field._inv
-    afull = a.full_matrix()
     rows = [[int(i == j) for j in range(t)] for i in range(t)]
     gram = afull
     pairs: list[list[int]] = []
@@ -345,8 +347,21 @@ def canonical_decompose(a: SkewMat) -> tuple[list[list[int]], int]:
                              for c in keep])
         rows, gram = new_rows, new_gram
         pairs += [u, v]
+    return pairs, rows
 
-    p_rows = pairs + rows
+
+def canonical_decompose(a: SkewMat) -> tuple[list[list[int]], int]:
+    """Nonsingular P with P A P^T = diag{E2 x s, 0} and s the skew rank.
+
+    P is the hyperbolic pairs of _pair_off, then the basis of ker A it
+    leaves.
+    """
+    field = a.field
+    t = a.params.t
+    add, mul, neg = field._add, field._mul, field._neg
+    afull = a.full_matrix()
+    pairs, kernel = _pair_off(afull, field)
+    p_rows = pairs + kernel
     s = len(pairs) // 2
 
     # self-verifying postcondition: P A P^T, recomputed from A, is the
@@ -388,26 +403,73 @@ def _rank_table_key(params: SchemeParams, field: FieldSpec) -> tuple:
 def _build_rank_table(params: SchemeParams, field: FieldSpec) -> bytearray:
     """Skew rank of every matrix in the space, indexed by packed coords.
 
-    One projective walk of the unit rows ranks a word w of each line
-    through zero (the zero word's entry stays 0).  In step with it, for
-    each c = 1..q-1, the walk of the unit rows scaled by c, with the
-    identity range as table, yields the packed index of c w, whose rank is
-    that of w.
+    Built from the table of the (t-1)-space by bordering.  Write
+    M = [[0, b^T], [-b, A]], b the first row of M past its diagonal and A
+    the alternating (t-1) x (t-1) rest.  Then
+    rank M = rank A + 2 [b not in Im A], and Im A = (ker A)^perp because
+    A^T = -A, so in every characteristic
+
+        skew_rank M = skew_rank A + [b . k != 0 for some k in ker A],
+
+    the step behind Carlitz's census.  b is coordinates 0..t-2, the low
+    digits of _pack, and A's coordinates follow in the (t-1)-space's own
+    order, so index(M) = index(b) + q^(t-1) index(A).  Block a of the table,
+    its q^(t-1) contiguous entries, is therefore small[a] plus the indicator
+    of {b : b . k != 0 for some k in a basis of ker A}, built over b's digits
+    by bytes.translate once per k in one build.  Only the matrices A of the
+    (t-1)-space are reduced, by _pair_off, and none with 2 small[a] = t - 1:
+    that A is invertible and its block constant.  The recursion starts at
+    t = 2, [0, 1, ..., 1], and every table's census is checked against xi.
     """
-    unit = full_space_code(params, field).basis_rows()
-    mul = field._mul
-    table = bytearray(field.q**params.num_coords)
-    indices = [_span_ranks(params, field, [[mul[c][v] for v in row] for row in unit],
-                           range(len(table)))
-               for c in range(1, field.q)]
-    walk = zip(_span_ranks(params, field, unit, None), *indices)
-    if field.q == 2:  # one index walk: no per-word list of indices
-        for rank, idx in walk:
-            table[idx] = rank
+    q, t = field.q, params.t
+    if t == 2:
+        table = bytearray([0] + [1] * (q - 1))
     else:
-        for rank, *idxs in walk:
-            for idx in idxs:
-                table[idx] = rank
+        table = _border(_build_rank_table(SchemeParams(q, t - 1), field),
+                        t, field)
+    for s in range(params.n + 1):
+        if table.count(s) != xi(params, s):
+            raise ArithmeticError(
+                f"rank table of {params} holds {table.count(s)} matrices of "
+                f"skew rank {s}, not xi = {xi(params, s)}"
+            )
+    return table
+
+
+def _border(small: bytearray, t: int, field: FieldSpec) -> bytearray:
+    """The t-space's rank table from `small`, the (t-1)-space's, block by
+    block, as _build_rank_table sets out."""
+    q, neg, mul = field.q, field._neg, field._mul
+    width = q ** (t - 1)
+    pad = bytes(256 - q)
+    plus = [bytes(row) + pad for row in field._add]  # x -> x + c
+    nonzero = bytes([0]) + bytes([1]) * 255
+    lift = [bytes([s, s + 1]) + bytes(254) for s in range(t // 2)]
+    full = bytes([(t - 1) // 2]) * width
+    hits: dict[tuple[int, ...], int] = {}  # k -> {b : b . k != 0} as an int
+    pos = upper_positions(t - 1)
+    table = bytearray(len(small) * width)
+    for a, coords in enumerate(product(range(q), repeat=len(pos))):
+        s = small[a]
+        at = a * width
+        if 2 * s == t - 1:
+            table[at:at + width] = full
+            continue
+        mat = [[0] * (t - 1) for _ in range(t - 1)]
+        # product varies its last coordinate fastest, _pack its first
+        for (i, j), v in zip(pos, reversed(coords)):
+            mat[i][j] = v
+            mat[j][i] = neg[v]
+        hit = 0
+        for k in map(tuple, _pair_off(mat, field)[1]):
+            if k not in hits:
+                dots = b"\0"  # b . k over the b of the digits so far
+                for kc in k:
+                    dots = b"".join(dots.translate(plus[mul[d][kc]])
+                                    for d in range(q))
+                hits[k] = int.from_bytes(dots.translate(nonzero), "little")
+            hit |= hits[k]
+        table[at:at + width] = hit.to_bytes(width, "little").translate(lift[s])
     return table
 
 

@@ -28,8 +28,9 @@ from math import comb
 from .qcombinat import SchemeParams, gamma, gauss
 
 
-def gauss_base(b: Fraction, x: int, k: int) -> Fraction:
+def gauss_base(b: Fraction | int, x: int, k: int) -> Fraction:
     """Gaussian coefficient prod_{i<k} (b^x - b^i)/(b^k - b^i) at rational base b."""
+    b = Fraction(b)
     if k < 0:
         raise ValueError(f"k={k} must be >= 0")
     if 0 <= x < k:

@@ -4,11 +4,12 @@ import os
 import random
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
-from skewrank import gfcodes, krawtchouk, macwilliams, selftest
+from skewrank import SchemeParams, gfcodes, krawtchouk, macwilliams, selftest
 from skewrank.cli import build_parser, main
 from skewrank.moments import find_msrd
 from skewrank.gfcodes import WeightDist
@@ -409,6 +410,20 @@ class TestProcessInvocation:
         proc = run_process("-O", "-m", "skewrank.cli", "selftest")
         assert proc.returncode == 0, proc.stderr
         assert json.loads(proc.stdout)["ok"] is True
+
+    def test_wdist_just_past_the_table_threshold(self, tmp_path):
+        # 4^10 <= 64 * 4^7, so this code builds the 1M-entry (4,5) table in
+        # a fresh process; ranking one word per line of it took 3.9 s
+        p = SchemeParams(4, 5)
+        code = gfcodes.random_code(p, gfcodes.make_field(4), 7, random.Random(3))
+        path = tmp_path / "c45.skc"
+        path.write_text(gfcodes.serialize_code(code))
+        start = time.perf_counter()
+        proc = run_process("-O", "-m", "skewrank.cli", "wdist", "--code", str(path))
+        elapsed = time.perf_counter() - start
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout)["dist"] == ["1", "303", "16080"]
+        assert elapsed < 1.0
 
 
 class TestScripts:

@@ -392,6 +392,67 @@ class TestAltRank:
         assert _build_rank_table(p, f) == want
 
 
+# sha256 of _build_rank_table(SchemeParams(q, t), make_field(q)) for every
+# table under the cap, recorded from the build that ranked one word per line
+# through zero by _alt_rank
+RANK_TABLE_DIGESTS = {
+    (2, 2): "b413f47d13ee2fe6c845b2ee141af81de858df4ec549a58b7970bb96645bc8d2",
+    (2, 3): "58b152dbcbf85e1396e9d063bb32d246ef9bbf87b88340e7313c641783a7cbdd",
+    (2, 4): "c660ffeeaf55c6b6c7508502140dd0eb55d0c61fac5e5b051248058064cd75e9",
+    (2, 5): "ee6718264d02a6904e7db209f6cbe27047bde12a2aedb40894e241dc5a25a9db",
+    (2, 6): "ee9ba48da5ec94e28389052d2ab00356d1fd0a72ca3e6e9dc7e9f91e5ee7be55",
+    (3, 2): "fbb59ed10e9cd4ff45a12c5bb92cbd80df984ba1fe60f26a30febf218e2f0f5e",
+    (3, 3): "0f7c0599fa595c2a480a865e2995658c919ba3335438d090895a51e4551bc8de",
+    (3, 4): "b744d01fd8f1ef9063c7a413efce517a782cbe9ed8bb7e5cc2f85d199cdee4ae",
+    (3, 5): "d829c5dfa040218f91778ba2df8467757ad51d752742956355297c002b147d61",
+    (4, 2): "cbd95ae5ef8810691e3fc7efb7c39ef9ffb661135d858aa0ccc81fc74a0160ae",
+    (4, 3): "0b6f7181c211aae5e14e1cc4d0dc0f0fedee936596f91110bb69bfe0455632a5",
+    (4, 4): "8da8308e21f1a1c8ee823d0e1051751f61921e433ed3888f56b1203803bf1ae7",
+    (4, 5): "291ad289bea18dd28e7503776ca657b2e688a930f18923a378904f4f7d388c13",
+    (5, 2): "c5fa7a4f055ecfb310cff078852a08c832be9ac4c4d30ecb73e4b55630fff19f",
+    (5, 3): "c41f73db8d80916c2d7a05b802e1693cc765b245af23c0846cc1ccbbdbe82d04",
+    (5, 4): "1bf69a81c6cc8f5371731c2beaa04fb01659fdf86ed7860ddd5d50248ab9a327",
+    (7, 2): "9e115b7590ca176a52442f9f76532bd613b8456529d330681e960d9e7feb3f6a",
+    (7, 3): "d04671531a7312a50f4a5fea6d148c3b54a634d2062de41cf12987434cf4a51b",
+    (7, 4): "6134b2ed50554f6c420054e2efafe81213bf86a4250ab48221677b6bfd297809",
+    (8, 2): "58b152dbcbf85e1396e9d063bb32d246ef9bbf87b88340e7313c641783a7cbdd",
+    (8, 3): "b3bf8097d24eb2ae9ddb20ff734aa1fdb6dab38f6c498bb59978b7d84d73c819",
+    (8, 4): "54d6f75ddc60a05b21300be56c68fcf34bb30910298870354ec50ff7f8f42150",
+    (9, 2): "6c98868342cbd19af714483483f87348067a30a203281680c118fac333d2a77b",
+    (9, 3): "c33126c64a1b922db347ff6a12d13e6db2a4acf4e8b9d2a3d5468698e68dc2fd",
+    (9, 4): "0d0d3e97c0fe252703de3bbb48e086b2e74b717b08403e529df64eb96123823a",
+}
+
+
+class TestRankTables:
+    def test_every_table_is_pinned(self):
+        import skewrank.gfcodes as g
+
+        under_cap = {
+            (q, t)
+            for q in (2, 3, 4, 5, 7, 8, 9)
+            for t in range(2, 8)
+            if q ** (t * (t - 1) // 2) <= g._RANK_TABLE_CAP
+        }
+        assert set(RANK_TABLE_DIGESTS) == under_cap
+        for (q, t), digest in RANK_TABLE_DIGESTS.items():
+            p = SchemeParams(q, t)
+            table = _build_rank_table(p, make_field(q))
+            assert hashlib.sha256(table).hexdigest() == digest, (q, t)
+            assert [table.count(s) for s in range(p.n + 1)] == [
+                xi(p, s) for s in range(p.n + 1)
+            ]
+
+    def test_census_guard_raises(self, monkeypatch):
+        import skewrank.gfcodes as g
+
+        # the build checks its census itself, by a raise that python -O
+        # keeps; a census that disagrees with xi must stop it
+        monkeypatch.setattr(g, "xi", lambda params, s: xi(params, s) + (s == 1))
+        with pytest.raises(ArithmeticError, match="skew rank 1"):
+            _build_rank_table(SchemeParams(3, 4), make_field(3))
+
+
 def _dot(f, xs, ys, t):
     acc = 0
     for a, b in zip(xs, ys):
@@ -929,8 +990,8 @@ class TestEnumerationPaths:
             tracemalloc.stop()
         assert wd.counts == tuple(xi(p, s) for s in range(p.n + 1))
         assert walk_peak < 1 << 20
-        # the build holds the 59 kB table and O(k) walk state: a list of
-        # its 29524 projective ranks alone would take 236 kB
+        # the build holds the 59 kB table, the 729-byte (3,4) table it
+        # borders and one 81-byte block at a time: about 69 kB at its peak
         assert table == want
         assert build_peak < 2 * len(table)
 

@@ -123,6 +123,14 @@ class TestGeneralizedForm:
                         b, y, k
                     ) * prod
 
+    def test_gauss_base_is_exact_at_an_int_base(self):
+        # an int base must not turn the quotients into floats: 4.2e135
+        # has lost digits
+        for x, k in ((3, 1), (30, 15)):
+            got = gauss_base(4, x, k)
+            assert type(got) is Fraction
+            assert got == gauss(2, x, k)  # 21 at (3, 1)
+
     def test_recurrence_fixed_bc(self):
         # P_{k+1}(x+1, y+1) = b^{k+1} P_{k+1}(x,y) - b^k P_k(x,y)
         for b, c in (

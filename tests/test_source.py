@@ -42,3 +42,44 @@ def test_library_has_no_function_local_imports():
             if isinstance(node, (ast.Import, ast.ImportFrom))
         ]
     assert not found, f"imports inside functions: {found}"
+
+
+# functions that return an int wherever their value is integral, so `/` on
+# one of them is float division
+_INT_VALUED = {"gauss", "gamma", "beta", "xi", "eval_lambda"}
+
+
+def _is_int_valued_call(node) -> bool:
+    if not isinstance(node, ast.Call):
+        return False
+    fn = node.func
+    # a module function, maybe reached through its module, or a method
+    name = fn.id if isinstance(fn, ast.Name) else getattr(fn, "attr", None)
+    return name in _INT_VALUED
+
+
+def _float_divisions(tree) -> list[int]:
+    return [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Div)
+        and (_is_int_valued_call(node.left) or _is_int_valued_call(node.right))
+        or isinstance(node, ast.AugAssign) and isinstance(node.op, ast.Div)
+        and _is_int_valued_call(node.value)
+    ]
+
+
+def test_no_true_division_of_int_valued_calls():
+    # the package promises no floating point: an exact quotient of these
+    # values is Fraction(a, b) or a checked divmod, never a / b
+    for bad in ("gauss(q, x, k) / d", "d / qcombinat.xi(p, s)",
+                "d /= s.eval_lambda(lam)", "beta(q, m, i) / gamma(q, m, i)"):
+        assert _float_divisions(ast.parse(bad)), bad
+    for good in ("Fraction(gauss(q, x, k), d)", "gauss(q, x, k) // d",
+                 "gauss / d", "f(gauss(q, x, k)) / d"):
+        assert not _float_divisions(ast.parse(good)), good
+    found = []
+    for path in sorted(SRC.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        found += [f"{path.name}:{line}" for line in _float_divisions(tree)]
+    assert not found, f"float division of an int-valued call: {found}"
