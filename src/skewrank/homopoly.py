@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .lambda_ring import LambdaScalar, RatLike, gamma_lambda
+from .lambda_ring import LambdaScalar, RatLike, _rational, gamma_lambda
 from .qcombinat import SchemeParams, gauss, xi
 
 
@@ -164,7 +164,7 @@ def nu_power(q: int, k: int) -> HPoly:
     if k < 0:
         raise ValueError(f"k={k} must be >= 0")
     coeffs = [
-        (-1) ** u * Fraction(q) ** (u * (u - 1)) * gauss(q, k, u)
+        (-1) ** u * q ** (u * (u - 1)) * gauss(q, k, u)
         for u in range(k + 1)
     ]
     return HPoly(q, coeffs)
@@ -176,9 +176,9 @@ def omega(params: SchemeParams) -> HPoly:
 
 
 def evaluate(p: HPoly, x: RatLike, y: RatLike, lam: int) -> Fraction:
-    """sum_i c_i(lam) y^i x^{r-i} as an exact rational."""
-    x = Fraction(x)
-    y = Fraction(y)
+    """sum_i c_i(lam) y^i x^{r-i} as an exact rational; x, y int or Fraction."""
+    x = Fraction(_rational(x))
+    y = Fraction(_rational(y))
     r = p.degree
     out = Fraction(0)
     for i, c in enumerate(p.coeffs):

@@ -83,9 +83,8 @@ def transform_functional(w: WeightDist | list[int], code_size: int,
     for i, c in enumerate(counts):
         if c == 0:
             continue
-        basis = _transform_basis(q, n, i)
-        for k in range(n + 1):
-            val = basis.coefficient(k).eval_lambda(m)
+        for k, coeff in enumerate(_transform_basis(q, n, i).coeffs):
+            val = coeff.eval_lambda(m)
             if val:
                 raw[k] += c * val
     return _finalize(raw, code_size, params)

@@ -1,3 +1,5 @@
+import cProfile
+import pstats
 import random
 from fractions import Fraction
 
@@ -14,6 +16,7 @@ from skewrank.gfcodes import (
     zero_code,
 )
 from skewrank.macwilliams import (
+    _transform_basis,
     transform_functional,
     transform_matrix,
     verify_code,
@@ -138,6 +141,41 @@ def test_routes_agree_on_msrd_past_the_sweep(q):
             if t == 24:
                 raw_matrix, raw_fun = p_transform_pair(w.counts, w.size, p)
                 assert raw_matrix == raw_fun, d
+
+
+def fractions_made(run):
+    """How many Fraction objects run() creates, counted by cProfile."""
+    prof = cProfile.Profile()
+    prof.runcall(run)
+    return sum(
+        calls
+        for (path, _, name), (_, calls, *_) in pstats.Stats(prof).stats.items()
+        if name == "__new__" and path.endswith("fractions.py")
+    )
+
+
+def test_transform_basis_is_built_in_ints():
+    # the functional route's basis is built without a single Fraction; the
+    # counter itself is checked on a region that makes exactly one
+    assert fractions_made(lambda: Fraction(1, 3)) == 1
+
+    def build():
+        for q in (2, 3):
+            for i in range(13):
+                _transform_basis.__wrapped__(q, 12, i)
+
+    assert fractions_made(build) == 0
+
+
+def test_cold_functional_route_at_t40():
+    # a cold basis build at (2,40) gives the eigenmatrix route's answer
+    # and the MSRD dual of a d = 5 MSRD code, the (n - d + 2)-MSRD one
+    p, d = SchemeParams(2, 40), 5
+    w = msrd_distribution(p, d)
+    _transform_basis.cache_clear()
+    fun = transform_functional(w, w.size, p)
+    assert fun == transform_matrix(w, w.size, p)
+    assert fun == msrd_distribution(p, p.n - d + 2)
 
 
 def p_transform_pair(counts, size, p):
