@@ -657,9 +657,11 @@ def weight_distribution(code: LinearCode,
 
     The zero word counts once, and each rank of the projective walk
     _span_ranks counts q - 1 times, once per nonzero multiple of its word:
-    (q^k - 1)/(q - 1) words are ranked.  The walk uses the rank table when
-    the space fits under the cap and is small next to the code or already
-    built.  Memory is O(1) in q^k: only the current word is held.
+    (q^k - 1)/(q - 1) words are ranked.  The walk reads the space's rank
+    table, built once per process, whenever rank_table gives one: the space
+    fits under _RANK_TABLE_CAP, a memory cap.  Above it each word is ranked
+    by _alt_rank.  Memory beyond the table is O(1) in q^k: only the current
+    word is held.
     """
     params, field = code.params, code.field
     size = field.q**code.k
@@ -668,12 +670,7 @@ def weight_distribution(code: LinearCode,
             f"q^k = {size} exceeds the enumeration budget {budget}"
         )
     counts = [1] + [0] * params.n
-    space = field.q**params.num_coords
-    tbl = None
-    if space <= _RANK_TABLE_CAP and (
-        space <= 64 * size or _rank_table_key(params, field) in _RANK_TABLES
-    ):
-        tbl = rank_table(params, field)
+    tbl = rank_table(params, field)
     multiples = field.q - 1
     for rank in _span_ranks(params, field, code.basis_rows(), tbl):
         counts[rank] += multiples

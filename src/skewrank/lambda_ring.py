@@ -168,6 +168,7 @@ class LambdaScalar:
         and 0, numerator e is multiplied by q**(-2je - low) and the
         denominator by q**(-low).
         """
+        j = index(j)
         nums = self._nums
         if j == 0 or not nums:
             return self
@@ -186,6 +187,7 @@ class LambdaScalar:
         denominator: _den, times q**(-low) when the lowest exponent low of
         q is negative.
         """
+        lam = index(lam)
         nums = self._nums
         if not nums:
             return 0

@@ -412,18 +412,21 @@ class TestProcessInvocation:
         assert json.loads(proc.stdout)["ok"] is True
 
     def test_wdist_just_past_the_table_threshold(self, tmp_path):
-        # 4^10 <= 64 * 4^7, so this code builds the 1M-entry (4,5) table in
-        # a fresh process; ranking one word per line of it took 3.9 s
-        p = SchemeParams(4, 5)
-        code = gfcodes.random_code(p, gfcodes.make_field(4), 7, random.Random(3))
-        path = tmp_path / "c45.skc"
-        path.write_text(gfcodes.serialize_code(code))
-        start = time.perf_counter()
-        proc = run_process("-O", "-m", "skewrank.cli", "wdist", "--code", str(path))
-        elapsed = time.perf_counter() - start
-        assert proc.returncode == 0, proc.stderr
-        assert json.loads(proc.stdout)["dist"] == ["1", "303", "16080"]
-        assert elapsed < 1.0
+        # every code under the cap, even one of one row, is ranked through
+        # its space's table, built here in a fresh process: (4,5) is the
+        # largest space, 4^10 entries, and (2,6) the slowest build, ~40 ms
+        for q, t, k, want in ((4, 5, 7, ["1", "303", "16080"]),
+                              (2, 6, 1, ["1", "0", "1", "0"])):
+            p = SchemeParams(q, t)
+            code = gfcodes.random_code(p, gfcodes.make_field(q), k, random.Random(3))
+            path = tmp_path / f"c{q}{t}.skc"
+            path.write_text(gfcodes.serialize_code(code))
+            start = time.perf_counter()
+            proc = run_process("-O", "-m", "skewrank.cli", "wdist", "--code", str(path))
+            elapsed = time.perf_counter() - start
+            assert proc.returncode == 0, proc.stderr
+            assert json.loads(proc.stdout)["dist"] == want
+            assert elapsed < 1.0
 
 
 class TestScripts:

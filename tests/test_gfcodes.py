@@ -901,12 +901,19 @@ class TestLinearCode:
 
 
 class TestEnumerationPaths:
-    def test_direct_elimination_when_space_too_large(self):
-        # q=9, t=4: the 9^6 ambient space is never tabulated for a tiny code
+    def test_small_code_ranked_through_the_table(self, monkeypatch):
+        # q=9, t=4: the 9^6 space is under the cap, so even a 2-row code is
+        # ranked through its table, built here; the untabled q=9 walk is
+        # test_walk_matches_product_oracle[no-table]
+        import skewrank.gfcodes as g
+
+        monkeypatch.setattr(g, "_RANK_TABLES", {})
+        monkeypatch.setattr(g, "_alt_rank", lambda *args: pytest.fail("_alt_rank"))
         p = SchemeParams(9, 4)
         f = make_field(9)
         c = LinearCode.from_rows(p, f, [(1, 0, 0, 0, 0, 0), (0, 0, 0, 0, 0, 5)])
         wd = weight_distribution(c)
+        assert g._rank_table_key(p, f) in g._RANK_TABLES
         assert wd.size == 81
         assert wd.counts[0] == 1
         # words with both blocks nonzero have skew rank 2

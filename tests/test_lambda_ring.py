@@ -302,6 +302,23 @@ class TestOnlyExactRationals:
             evaluate(p, 1, bad, 0)
         assert evaluate(p, Fraction(1, 2), 3, 0) == Fraction(7, 2)
 
+    @pytest.mark.parametrize("bad", (0.5, 2.0, "1", Fraction(1), None), ids=repr)
+    def test_lambda_and_shift_must_be_ints(self, bad):
+        name = type(bad).__name__
+        s = LambdaScalar(2, {1: 1})
+        for call in (
+            lambda: s.eval_lambda(bad),
+            lambda: eval_lambda(s, bad),
+            lambda: LambdaScalar.zero(2).eval_lambda(bad),
+            lambda: evaluate(HPoly(2, [1, 1]), 1, 1, bad),
+            lambda: s.shift(bad),
+            lambda: shift(s, bad),
+            lambda: LambdaScalar.zero(2).shift(bad),
+        ):
+            with pytest.raises(TypeError, match=name):
+                call()
+        assert eval_lambda(s, 3) == 8 and shift(s, 1).eval_lambda(3) == 2
+
     def test_float_equality_is_not_an_error(self):
         s = LambdaScalar.constant(2, 1)
         assert s.__eq__(1.0) is NotImplemented
