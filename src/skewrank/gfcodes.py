@@ -180,6 +180,17 @@ def upper_positions(t: int) -> list[tuple[int, int]]:
     return [(i, j) for i in range(t) for j in range(i + 1, t)]
 
 
+def _alt_rows(t: int, field: FieldSpec, coords, pos=None) -> list[list[int]]:
+    """Upper-triangle coords as the t rows of the full alternating matrix;
+    a caller converting many passes pos = upper_positions(t) once."""
+    neg = field._neg
+    rows = [[0] * t for _ in range(t)]
+    for (i, j), v in zip(pos or upper_positions(t), coords):
+        rows[i][j] = v
+        rows[j][i] = neg[v]
+    return rows
+
+
 class SkewMat:
     """Alternating t x t matrix over GF(q), stored as its upper triangle."""
 
@@ -200,12 +211,7 @@ class SkewMat:
         self.upper = tuple(upper)
 
     def full_matrix(self) -> list[list[int]]:
-        t = self.params.t
-        a = [[0] * t for _ in range(t)]
-        for (i, j), v in zip(upper_positions(t), self.upper):
-            a[i][j] = v
-            a[j][i] = self.field.neg(v)
-        return a
+        return _alt_rows(self.params.t, self.field, self.upper)
 
     def is_zero(self) -> bool:
         return not any(self.upper)
@@ -248,19 +254,12 @@ def skew_rank(a: SkewMat) -> int:
 def _alt_rank(mat: int | list[list[int]], t: int, field: FieldSpec) -> int:
     """Skew rank of an alternating t x t matrix by symplectic pair pivots.
 
-    Each step takes the first row i with a nonzero entry and its first
-    nonzero column j (j > i), and replaces every other row k by
-    row_k + (A_ki row_j - A_kj row_i) / A_ij: the Schur complement of the
-    2 x 2 block, alternating again, with columns i and j zero.
-    Each step splits off one hyperbolic pair, so the skew rank is the
-    number of steps (Delsarte-Goethals, JCTA 19, 1975); once t // 2 pairs
-    are found no further pair fits.
-
     At q = 2, mat is one t*t-bit int whose bit t*i + j is entry (i, j).  A
-    is symmetric there, so column i is row i spread to bits t*k + i, and a
-    step XORs both rank-one updates into the whole matrix at once.  At any
-    other q, mat is a list of t rows, each a list of field elements, and
-    the update goes through the field tables.  mat is not mutated.
+    is symmetric there, so column i is row i spread to bits t*k + i, and
+    the step of _pair_pivots XORs both rank-one updates into the whole
+    matrix at once.  At any other q, mat is a list of t rows, each a list of
+    field elements, and _pair_pivots counts the pairs.  Both stop at pair
+    t // 2, after which no further pair fits.  mat is not mutated.
     """
     s = 0
     half = t // 2
@@ -275,8 +274,27 @@ def _alt_rank(mat: int | list[list[int]], t: int, field: FieldSpec) -> int:
             mat ^= ((mat >> t * i & row) * (mat >> j & col)
                     ^ (mat >> t * j & row) * (mat >> i & col))
         return s
+    return len(_pair_pivots(list(mat), t, field, half))
+
+
+def _pair_pivots(rows: list[list[int]], t: int, field: FieldSpec,
+                 stop: int = 0) -> list[tuple[int, int, list[int]]]:
+    """Pair pivots of the alternating t x t matrix A in the first t columns
+    of rows.
+
+    Each step takes the first row i with a nonzero entry and its first
+    nonzero column j (j > i), and replaces every later row k by
+    row_k + (A_ki row_j - A_kj row_i) / A_ij: the Schur complement of the
+    2 x 2 block, alternating again, with columns i and j zero.  Each step
+    splits off one hyperbolic pair, so the skew rank is the number of steps
+    (Delsarte-Goethals, JCTA 19, 1975).  Row j becomes zero and row i stays
+    as it is.  A step is a row operation, so columns past the t-th follow
+    it.  rows is updated in place, each row replaced, never written into.
+    Returns each pivot as (i, j, row j before its step); a nonzero stop
+    ends the loop at pivot number stop, before its update.
+    """
     add, mul, neg, inv = field._add, field._mul, field._neg, field._inv
-    rows = list(mat)  # rows are replaced, never written into
+    pivots = []
     for i in range(t - 1):
         ri = rows[i]
         for j in range(i + 1, t):
@@ -284,11 +302,11 @@ def _alt_rank(mat: int | list[list[int]], t: int, field: FieldSpec) -> int:
                 break
         else:
             continue
-        s += 1
-        if s == half:
-            break
         rj = rows[j]
-        rows[j] = [0] * t
+        pivots.append((i, j, rj))
+        if len(pivots) == stop:
+            break
+        rows[j] = [0] * len(rj)
         scale = mul[inv[ri[j]]]
         for k in range(i + 1, t):
             rk = rows[k]
@@ -296,65 +314,48 @@ def _alt_rank(mat: int | list[list[int]], t: int, field: FieldSpec) -> int:
                 a, b = mul[scale[rk[i]]], mul[neg[scale[rk[j]]]]
                 rows[k] = [add[add[x][a[y]]][b[z]]
                            for x, y, z in zip(rk, rj, ri)]
-    return s
+    return pivots
 
 
 def _alt_form(t: int, field: FieldSpec, coords) -> int | list[list[int]]:
     """Upper-triangle coords as the matrix in _alt_rank's form."""
-    pos = upper_positions(t)
     if field.q == 2:
         return sum(1 << t * i + j | 1 << t * j + i
-                   for (i, j), v in zip(pos, coords) if v)
-    rows = [[0] * t for _ in range(t)]
-    for (i, j), v in zip(pos, coords):
-        rows[i][j] = v
-        rows[j][i] = field._neg[v]
-    return rows
+                   for (i, j), v in zip(upper_positions(t), coords) if v)
+    return _alt_rows(t, field, coords)
 
 
 def _pair_off(afull: list[list[int]],
               field: FieldSpec) -> tuple[list[list[int]], list[list[int]]]:
     """Hyperbolic pairs u1, v1, u2, v2, ... of an alternating A, and the rest.
 
-    Symplectic reduction on the Gram matrix G = R A R^T of the rows R not
-    yet paired, from R = I and G = A.  Each step takes the first (i, j),
-    i < j, with g = G_ij != 0 and splits off the hyperbolic pair u = R_i,
-    v = R_j / g, whose pairings with the rows are gu = G_i and gv = G_j / g.
-    Every other row w_r becomes w_r - gu_r v + gv_r u, which pairs to zero
-    with both, and G becomes G_rc + gv_r gu_c - gu_r gv_c over the rows
-    that remain: the Schur complement of the 2 x 2 block, as in _alt_rank.
-    When G is zero, the rows left pair to zero with every row, so they are
-    a basis of ker A.
+    _pair_pivots on the rows of [A | I], run to the end.  Its row
+    operations keep each row [R_k A | R_k], and add to later rows only rows
+    i and j as they stand, so the pairs and the rows left are a basis.  A
+    pivot (i, j) with g = A_ij at its step gives u = R_i, v = R_j / g.
+    u A v^T = 1, as R_i A is zero on the columns of earlier pivots, the
+    only ones where R_j differs from e_j; every later row ends zero on
+    columns i and j, so pairs to zero with u and v.  The t - 2s rows left
+    end with R_k A = 0, found zero by the loop or, the last row, zeroed by
+    the final update (so the loop must not stop early): a basis of ker A.
     """
     t = len(afull)
-    add, mul, neg, inv = field._add, field._mul, field._neg, field._inv
-    rows = [[int(i == j) for j in range(t)] for i in range(t)]
-    gram = afull
-    pairs: list[list[int]] = []
-    while pick := next(((i, j) for i, gi in enumerate(gram)
-                        for j in range(i + 1, len(gi)) if gi[j]), None):
-        i, j = pick
-        scale = mul[inv[gram[i][j]]]
-        u, v = rows[i], [scale[x] for x in rows[j]]
-        gu, gv = gram[i], [scale[x] for x in gram[j]]
-        keep = [r for r in range(len(rows)) if r != i and r != j]
-        new_rows, new_gram = [], []
-        for r in keep:
-            du, dv = mul[neg[gu[r]]], mul[gv[r]]
-            new_rows.append([add[add[w][du[y]]][dv[z]]
-                             for w, y, z in zip(rows[r], v, u)])
-            new_gram.append([add[add[gram[r][c]][dv[gu[c]]]][du[gv[c]]]
-                             for c in keep])
-        rows, gram = new_rows, new_gram
-        pairs += [u, v]
-    return pairs, rows
+    rows = [row + [0] * t for row in afull]
+    for i, row in enumerate(rows):
+        row[t + i] = 1
+    pairs, paired = [], set()
+    for i, j, rj in _pair_pivots(rows, t, field):
+        scale = field._mul[field._inv[rows[i][j]]]
+        pairs += [rows[i][t:], [scale[x] for x in rj[t:]]]
+        paired |= {i, j}
+    return pairs, [row[t:] for k, row in enumerate(rows) if k not in paired]
 
 
 def canonical_decompose(a: SkewMat) -> tuple[list[list[int]], int]:
     """Nonsingular P with P A P^T = diag{E2 x s, 0} and s the skew rank.
 
-    P is the hyperbolic pairs of _pair_off, then the basis of ker A it
-    leaves.
+    P is the hyperbolic pairs that _pair_off's pivot loop on [A | I]
+    finds, then the basis of ker A it leaves.
     """
     field = a.field
     t = a.params.t
@@ -438,8 +439,8 @@ def _build_rank_table(params: SchemeParams, field: FieldSpec) -> bytearray:
 
 def _border(small: bytearray, t: int, field: FieldSpec) -> bytearray:
     """The t-space's rank table from `small`, the (t-1)-space's, block by
-    block, as _build_rank_table sets out."""
-    q, neg, mul = field.q, field._neg, field._mul
+    block, as _build_rank_table sets out, with ker A from _pair_off."""
+    q, mul = field.q, field._mul
     width = q ** (t - 1)
     pad = bytes(256 - q)
     plus = [bytes(row) + pad for row in field._add]  # x -> x + c
@@ -455,11 +456,8 @@ def _border(small: bytearray, t: int, field: FieldSpec) -> bytearray:
         if 2 * s == t - 1:
             table[at:at + width] = full
             continue
-        mat = [[0] * (t - 1) for _ in range(t - 1)]
         # product varies its last coordinate fastest, _pack its first
-        for (i, j), v in zip(pos, reversed(coords)):
-            mat[i][j] = v
-            mat[j][i] = neg[v]
+        mat = _alt_rows(t - 1, field, reversed(coords), pos)
         hit = 0
         for k in map(tuple, _pair_off(mat, field)[1]):
             if k not in hits:

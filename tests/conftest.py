@@ -3,9 +3,10 @@ from fractions import Fraction
 
 import pytest
 
-from skewrank.homopoly import HPoly, mu_power
+from skewrank.homopoly import HPoly, mu_power, skew_q_product
 from skewrank.lambda_ring import LambdaScalar, gamma_lambda
-from skewrank.qcombinat import beta, sigma
+from skewrank.qcalculus import q_derivative, q_inv_derivative
+from skewrank.qcombinat import beta, gauss, sigma
 
 ACCEPTANCE_PAIRS = ((2, 4), (2, 5), (2, 6), (3, 4), (3, 5))
 
@@ -52,6 +53,36 @@ def mu_inv_derivative_closed(q: int, k: int, phi: int) -> HPoly:
         Fraction(q) ** (-2 * sigma(phi)) * beta(q, k, phi)
     )
     return base.scale(scalar)
+
+
+def leibniz_x_rhs(f, g, phi):
+    """sum_l [phi,l] q^{2(phi-l)(r-l)} f^(l) * g^(phi-l), skipping zero terms."""
+    q = f.q
+    r, s = f.degree, g.degree
+    rhs = None
+    for l in range(phi + 1):
+        if l > r or phi - l > s:
+            continue
+        term = skew_q_product(
+            q_derivative(f, l), q_derivative(g, phi - l)
+        ).scale(gauss(q, phi, l) * q ** (2 * (phi - l) * (r - l)))
+        rhs = term if rhs is None else rhs + term
+    return rhs
+
+
+def leibniz_y_rhs(f, g, phi):
+    """sum_l [phi,l] q^{2l(s-phi+l)} f^{l} * shift_l(g^{phi-l})."""
+    q = f.q
+    r, s = f.degree, g.degree
+    rhs = None
+    for l in range(phi + 1):
+        if l > r or phi - l > s:
+            continue
+        gshift = q_inv_derivative(g, phi - l).shift_lambda(l)
+        weight = gauss(q, phi, l) * Fraction(q) ** (2 * l * (s - phi + l))
+        term = skew_q_product(q_inv_derivative(f, l), gshift).scale(weight)
+        rhs = term if rhs is None else rhs + term
+    return rhs
 
 
 @pytest.fixture(scope="session")

@@ -13,7 +13,13 @@ from pathlib import Path
 
 import pytest
 
-from conftest import ACCEPTANCE_PAIRS, mu_inv_derivative_closed, random_hpoly
+from conftest import (
+    ACCEPTANCE_PAIRS,
+    leibniz_x_rhs,
+    leibniz_y_rhs,
+    mu_inv_derivative_closed,
+    random_hpoly,
+)
 from skewrank.gfcodes import (
     _build_rank_table,
     _RANK_TABLES,
@@ -297,31 +303,6 @@ def test_criterion_6_calculus_suite():
     with criterion(6, "calculus suite"):
         rng = random.Random(61)
 
-        def leibniz_x(f, g, phi):
-            q, r, s = f.q, f.degree, g.degree
-            rhs = None
-            for l in range(phi + 1):
-                if l > r or phi - l > s:
-                    continue
-                term = skew_q_product(
-                    q_derivative(f, l), q_derivative(g, phi - l)
-                ).scale(gauss(q, phi, l) * q ** (2 * (phi - l) * (r - l)))
-                rhs = term if rhs is None else rhs + term
-            return rhs
-
-        def leibniz_y(f, g, phi):
-            q, r, s = f.q, f.degree, g.degree
-            rhs = None
-            for l in range(phi + 1):
-                if l > r or phi - l > s:
-                    continue
-                gsh = q_inv_derivative(g, phi - l).shift_lambda(l)
-                term = skew_q_product(q_inv_derivative(f, l), gsh).scale(
-                    gauss(q, phi, l) * Fraction(q) ** (2 * l * (s - phi + l))
-                )
-                rhs = term if rhs is None else rhs + term
-            return rhs
-
         pairs = 0
         while pairs < 200:
             q = rng.choice((2, 3))
@@ -334,7 +315,7 @@ def test_criterion_6_calculus_suite():
                     if phi <= prod.degree
                     else None
                 )
-                rhs = leibniz_x(f, g, phi)
+                rhs = leibniz_x_rhs(f, g, phi)
                 if lhs is None or lhs.is_zero():
                     assert rhs is None or rhs.is_zero()
                 else:
@@ -344,7 +325,7 @@ def test_criterion_6_calculus_suite():
                     if phi <= prod.degree
                     else None
                 )
-                rhs_y = leibniz_y(f, g, phi)
+                rhs_y = leibniz_y_rhs(f, g, phi)
                 if lhs_y is None or lhs_y.is_zero():
                     assert rhs_y is None or rhs_y.is_zero()
                 else:

@@ -3,7 +3,12 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import mu_inv_derivative_closed, random_hpoly
+from conftest import (
+    leibniz_x_rhs,
+    leibniz_y_rhs,
+    mu_inv_derivative_closed,
+    random_hpoly,
+)
 from skewrank.homopoly import (
     HPoly,
     evaluate,
@@ -16,7 +21,7 @@ from skewrank.qcalculus import (
     q_derivative,
     q_inv_derivative,
 )
-from skewrank.qcombinat import beta, gauss
+from skewrank.qcombinat import beta
 
 
 def quotient_derivative_x(p, phi, x0, y0, lam):
@@ -157,36 +162,6 @@ class TestEvalNuDelta:
     def test_domain(self):
         with pytest.raises(ValueError):
             eval_nu_derivative_at_ones(2, 1, 2)
-
-
-def leibniz_x_rhs(f, g, phi):
-    """sum_l [phi,l] q^{2(phi-l)(r-l)} f^(l) * g^(phi-l), skipping zero terms."""
-    q = f.q
-    r, s = f.degree, g.degree
-    rhs = None
-    for l in range(phi + 1):
-        if l > r or phi - l > s:
-            continue
-        term = skew_q_product(
-            q_derivative(f, l), q_derivative(g, phi - l)
-        ).scale(gauss(q, phi, l) * q ** (2 * (phi - l) * (r - l)))
-        rhs = term if rhs is None else rhs + term
-    return rhs
-
-
-def leibniz_y_rhs(f, g, phi):
-    """sum_l [phi,l] q^{2l(s-phi+l)} f^{l} * shift_l(g^{phi-l})."""
-    q = f.q
-    r, s = f.degree, g.degree
-    rhs = None
-    for l in range(phi + 1):
-        if l > r or phi - l > s:
-            continue
-        gshift = q_inv_derivative(g, phi - l).shift_lambda(l)
-        weight = gauss(q, phi, l) * Fraction(q) ** (2 * l * (s - phi + l))
-        term = skew_q_product(q_inv_derivative(f, l), gshift).scale(weight)
-        rhs = term if rhs is None else rhs + term
-    return rhs
 
 
 class TestLeibniz:

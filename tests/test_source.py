@@ -114,3 +114,85 @@ def test_rank_tables_read_only_by_rank_table():
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
         found += [f"{path.name}:{name}" for name in _table_readers(tree)]
     assert not found, f"_RANK_TABLES read outside rank_table: {found}"
+
+
+TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+
+# names the traced benchmark run reads by getattr besides LAYER_FUNCTIONS;
+# eval_lambda is read from LambdaScalar.__dict__, so the class must define it
+_TRACED_BESIDES = (
+    ("gfcodes", "rank_table"),
+    ("gfcodes", "weight_distribution"),
+    ("lambda_ring", "LambdaScalar.eval_lambda"),
+)
+
+
+def _layer_functions(tracer) -> tuple:
+    """The (module, function) pairs of LAYER_FUNCTIONS in a tracer's tree."""
+    for node in tracer.body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "LAYER_FUNCTIONS"
+                for t in node.targets):
+            return ast.literal_eval(node.value)
+    return ()
+
+
+def _bindings(body, prefix: str = "") -> set[str]:
+    """Names a module or class body binds; a class's own as Class.name."""
+    out = set()
+    for node in body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef)):
+            out.add(prefix + node.name)
+        elif isinstance(node, ast.Assign):
+            out |= {prefix + t.id for t in node.targets
+                    if isinstance(t, ast.Name)}
+        elif isinstance(node, ast.ImportFrom):
+            out |= {prefix + (a.asname or a.name) for a in node.names}
+        if isinstance(node, ast.ClassDef):
+            out |= _bindings(node.body, f"{prefix}{node.name}.")
+    return out
+
+
+def _unbound(wanted, modules: dict) -> list[str]:
+    """The (module, name) pairs of wanted that no module tree binds."""
+    return [
+        f"{mod}.{name}" for mod, name in wanted
+        if mod not in modules or name not in _bindings(modules[mod].body)
+    ]
+
+
+def test_traced_benchmark_names_exist():
+    # the traced benchmark run getattrs each of these names on the package
+    # and would crash on a rename, so each must still be bound
+    tracer = ast.parse('LAYER_FUNCTIONS = (("gfcodes", "dual"),)\n'
+                       "RANK_TABLE_HIT = 'gfcodes.rank_table'")
+    wanted = _layer_functions(tracer) + _TRACED_BESIDES
+    good = {
+        "gfcodes": ast.parse("from .q import rank_table\n"
+                             "def dual(code): pass\n"
+                             "weight_distribution = None"),
+        "lambda_ring": ast.parse("class LambdaScalar:\n"
+                                 "    def eval_lambda(self, lam): pass"),
+    }
+    assert not _unbound(wanted, good)
+    renamed = {
+        "gfcodes": ast.parse("def dual_code(code): pass\n"
+                             "def rank_table(p, f): pass\n"
+                             "def weight_distribution(code): pass"),
+        "lambda_ring": ast.parse("def eval_lambda(s, lam): pass\n"
+                                 "class LambdaScalar:\n"
+                                 "    def evaluate(self, lam): pass"),
+    }
+    assert _unbound(wanted, renamed) == [
+        "gfcodes.dual", "lambda_ring.LambdaScalar.eval_lambda"]
+    assert _unbound([("moments", "find_msrd")], good) == ["moments.find_msrd"]
+
+    layer = _layer_functions(ast.parse(TRACER.read_text(encoding="utf-8")))
+    assert layer, f"no LAYER_FUNCTIONS in {TRACER.name}"
+    modules = {
+        path.stem: ast.parse(path.read_text(encoding="utf-8"))
+        for path in SRC.glob("*.py")
+    }
+    missing = _unbound(layer + _TRACED_BESIDES, modules)
+    assert not missing, f"names the traced run binds are gone: {missing}"
