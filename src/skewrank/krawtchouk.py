@@ -17,15 +17,22 @@ Three closed forms give the same numbers and serve as its oracles: the
 generic two-parameter form P_k(x,y) over an arbitrary rational base b, its
 specialization at b = q^2 (`skew_p`), and the explicit alternating-sum form
 `skew_c`.
+
+`p_matrix` keeps the last `_P_MATRIX_SCHEMES` matrices it built, one per
+scheme, and hands the same frozen matrix of int tuples to every caller.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import comb
 
 from .qcombinat import SchemeParams, gamma, gauss
+
+# how many schemes' eigenmatrices p_matrix keeps, least recently used first out
+_P_MATRIX_SCHEMES = 32
 
 
 def gauss_base(b: Fraction | int, x: int, k: int) -> Fraction:
@@ -130,7 +137,10 @@ class KrawtchoukMatrix:
         return self.entries[x]
 
     def transform(self, dist: list[int]) -> list[int]:
-        """Row vector times matrix: out_k = sum_x dist[x] * P_k(x,n)."""
+        """Row vector times matrix: out_k = sum_x dist[x] * P_k(x,n).
+
+        The result is a new list, so no caller can reach the cached entries.
+        """
         n = self.params.n
         if len(dist) != n + 1:
             raise ValueError(f"distribution must have length {n + 1}")
@@ -140,8 +150,12 @@ class KrawtchoukMatrix:
         ]
 
 
+@lru_cache(maxsize=_P_MATRIX_SCHEMES)
 def p_matrix(params: SchemeParams) -> KrawtchoukMatrix:
-    """The eigenmatrix, row by row from the three-term recurrence."""
+    """The eigenmatrix, row by row from the three-term recurrence.
+
+    Cached per scheme: a repeat call returns the same immutable matrix.
+    """
     n, m, q = params.n, params.m, params.q
     big_q = q * q
     qm = q**m

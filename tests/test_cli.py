@@ -411,7 +411,7 @@ class TestProcessInvocation:
         assert proc.returncode == 0, proc.stderr
         assert json.loads(proc.stdout)["ok"] is True
 
-    def test_wdist_just_past_the_table_threshold(self, tmp_path):
+    def test_wdist_builds_any_sub_cap_table_within_a_second(self, tmp_path):
         # every code under the cap, even one of one row, is ranked through
         # its space's table, built here in a fresh process: (4,5) is the
         # largest space, 4^10 entries, and (2,6) the slowest build, ~40 ms

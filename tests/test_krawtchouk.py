@@ -1,7 +1,9 @@
+from dataclasses import FrozenInstanceError
 from fractions import Fraction
 
 import pytest
 
+from skewrank import krawtchouk
 from skewrank.krawtchouk import (
     gauss_base,
     generalized_p,
@@ -71,6 +73,39 @@ class TestMatrix:
             mat = p_matrix(p)
             out = mat.transform([xi(p, x) for x in range(p.n + 1)])
             assert out == [q ** (p.m * p.n)] + [0] * p.n
+
+
+class TestMatrixCache:
+    @pytest.mark.parametrize("q", FIELDS)
+    def test_cached_matrix_is_the_recurrence(self, q):
+        # the cached matrix equals one the recurrence builds afresh
+        for t in range(2, 13):
+            p = SchemeParams(q, t)
+            mat = p_matrix(p)
+            assert p_matrix(p) is mat
+            assert mat == p_matrix.__wrapped__(p)
+
+    def test_cache_holds_at_most_its_bound(self):
+        bound = krawtchouk._P_MATRIX_SCHEMES
+        schemes = [SchemeParams(q, t) for t in range(2, 40) for q in (2, 3)]
+        assert len(schemes) > bound
+        for p in schemes:
+            p_matrix(p)
+        assert p_matrix.cache_info().currsize == bound
+
+    def test_callers_cannot_change_a_cached_matrix(self):
+        p = SchemeParams(3, 4)
+        mat = p_matrix(p)
+        assert type(mat.entries) is tuple
+        assert all(type(row) is tuple for row in mat.entries)
+        with pytest.raises(FrozenInstanceError):
+            mat.entries = ((0,),)
+        out = mat.transform([1, 44, 36])
+        assert out == [81, 648, 0]
+        out[0] = 0
+        assert mat.transform([1, 44, 36]) == [81, 648, 0]
+        assert p_matrix(p).entries == (
+            (1, 260, 468), (1, 17, -18), (1, -10, 9))
 
 
 class TestEquivalence:

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import eval_fraction_sum
+from skewrank import macwilliams
 from skewrank.gfcodes import (
     dual,
     make_field,
@@ -16,6 +17,7 @@ from skewrank.gfcodes import (
     zero_code,
 )
 from skewrank.macwilliams import (
+    _functional_rows,
     _transform_basis,
     transform_functional,
     transform_matrix,
@@ -162,7 +164,7 @@ def test_transform_basis_is_built_in_ints():
     def build():
         for q in (2, 3):
             for i in range(13):
-                _transform_basis.__wrapped__(q, 12, i)
+                _transform_basis(q, 12, i)
 
     assert fractions_made(build) == 0
 
@@ -172,10 +174,38 @@ def test_cold_functional_route_at_t40():
     # and the MSRD dual of a d = 5 MSRD code, the (n - d + 2)-MSRD one
     p, d = SchemeParams(2, 40), 5
     w = msrd_distribution(p, d)
-    _transform_basis.cache_clear()
+    _functional_rows.cache_clear()
     fun = transform_functional(w, w.size, p)
     assert fun == transform_matrix(w, w.size, p)
     assert fun == msrd_distribution(p, p.n - d + 2)
+
+
+@pytest.mark.parametrize("q", FIELDS)
+def test_cached_rows_are_the_ring_products_at_m(q):
+    # a row is built only for an index the distribution uses, and each
+    # kept row is its lambda-ring product, built afresh here, read at m
+    for t in range(2, 13):
+        p = SchemeParams(q, t)
+        _functional_rows.cache_clear()
+        transform_functional([1] + [0] * p.n, 1, p)
+        assert list(_functional_rows(p)) == [0]
+        whole = q**p.num_coords
+        transform_functional([xi(p, s) for s in range(p.n + 1)], whole, p)
+        rows = _functional_rows(p)
+        assert sorted(rows) == list(range(p.n + 1))
+        for i, row in rows.items():
+            basis = _transform_basis(q, p.n, i)
+            assert type(row) is tuple
+            assert row == tuple(c.eval_lambda(p.m) for c in basis.coeffs)
+
+
+def test_row_cache_holds_at_most_its_bound():
+    bound = macwilliams._FUNCTIONAL_SCHEMES
+    schemes = [SchemeParams(q, t) for t in range(2, 40) for q in (2, 3)]
+    assert len(schemes) > bound
+    for p in schemes:
+        transform_functional([1] + [0] * p.n, 1, p)
+    assert _functional_rows.cache_info().currsize == bound
 
 
 def p_transform_pair(counts, size, p):
@@ -183,15 +213,14 @@ def p_transform_pair(counts, size, p):
     # entrywise after scaling by the size; the functional side is summed
     # term by term in Fractions, as an oracle of eval_lambda's int sums
     from skewrank.krawtchouk import p_matrix
-    from skewrank.macwilliams import _transform_basis
 
     raw_matrix = p_matrix(p).transform(list(counts))
+    bases = [_transform_basis(p.q, p.n, i) for i in range(p.n + 1)]
     raw_fun = []
     for k in range(p.n + 1):
         acc = Fraction(0)
-        for i, c in enumerate(counts):
-            coeff = _transform_basis(p.q, p.n, i).coefficient(k)
-            acc += c * eval_fraction_sum(coeff, p.m)
+        for c, basis in zip(counts, bases):
+            acc += c * eval_fraction_sum(basis.coefficient(k), p.m)
         raw_fun.append(acc)
     return raw_matrix, raw_fun
 

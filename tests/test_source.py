@@ -116,6 +116,84 @@ def test_rank_tables_read_only_by_rank_table():
     assert not found, f"_RANK_TABLES read outside rank_table: {found}"
 
 
+_CACHES = {"cache", "lru_cache"}
+
+
+def _unbounded_caches(tree) -> list[int]:
+    """Lines naming functools.cache, or lru_cache with no finite int bound.
+
+    A bound is an int literal, or a module-level name assigned one, given
+    as maxsize or as the first argument.
+    """
+    names, modules, consts = {}, set(), {}
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom) and node.module == "functools":
+            names |= {a.asname or a.name: a.name for a in node.names
+                      if a.name in _CACHES}
+        elif isinstance(node, ast.Import):
+            modules |= {a.asname or a.name for a in node.names
+                        if a.name == "functools"}
+        elif (isinstance(node, ast.Assign)
+              and isinstance(node.value, ast.Constant)
+              and type(node.value.value) is int):
+            consts |= {t.id: node.value.value for t in node.targets
+                       if isinstance(t, ast.Name)}
+
+    def kind(node):
+        if isinstance(node, ast.Name):
+            return names.get(node.id)
+        if (isinstance(node, ast.Attribute) and node.attr in _CACHES
+                and isinstance(node.value, ast.Name)
+                and node.value.id in modules):
+            return node.attr
+        return None
+
+    def bounded(call) -> bool:
+        size = [kw.value for kw in call.keywords if kw.arg == "maxsize"]
+        size = (size or call.args)[:1]
+        return bool(size) and (
+            isinstance(size[0], ast.Constant) and type(size[0].value) is int
+            or isinstance(size[0], ast.Name) and size[0].id in consts
+        )
+
+    ok = {
+        id(node.func) for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and kind(node.func) == "lru_cache"
+        and bounded(node)
+    }
+    return [node.lineno for node in ast.walk(tree)
+            if kind(node) and id(node) not in ok]
+
+
+def test_every_cache_is_bounded():
+    # a cache that grows with every scheme a long run touches is a leak;
+    # each one the package keeps has a fixed bound on its entries
+    for bad in ("from functools import lru_cache\n"
+                "@lru_cache(maxsize=None)\ndef f(x): pass",
+                "from functools import lru_cache\n@lru_cache\ndef f(x): pass",
+                "from functools import cache\n@cache\ndef f(x): pass",
+                "import functools\n@functools.lru_cache()\ndef f(x): pass",
+                "import functools as ft\ng = ft.cache(f)",
+                "from functools import lru_cache as memo\nSIZE = None\n"
+                "@memo(maxsize=SIZE)\ndef f(x): pass",
+                "from functools import lru_cache\ng = lru_cache(f)"):
+        assert _unbounded_caches(ast.parse(bad)), bad
+    for good in ("from functools import lru_cache\n_BOUND = 32\n"
+                 "@lru_cache(maxsize=_BOUND)\ndef f(x): pass",
+                 "from functools import lru_cache\n@lru_cache(16)\n"
+                 "def f(x): pass",
+                 "import functools\n@functools.lru_cache(maxsize=8)\n"
+                 "def f(x): pass",
+                 "from functools import partial\ncache = {}\n"
+                 "def lru_cache(f): return f"):
+        assert not _unbounded_caches(ast.parse(good)), good
+    found = []
+    for path in sorted(SRC.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        found += [f"{path.name}:{line}" for line in _unbounded_caches(tree)]
+    assert not found, f"caches without a finite bound: {found}"
+
+
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
 # names the traced benchmark run reads by getattr besides LAYER_FUNCTIONS;
