@@ -14,7 +14,8 @@ from __future__ import annotations
 import random
 import warnings
 from dataclasses import dataclass
-from itertools import product
+from itertools import islice, product
+from operator import mul
 
 from .qcombinat import SchemeParams, factor_prime_power, xi
 
@@ -204,6 +205,8 @@ class SkewMat:
             raise ValueError(
                 f"need {params.num_coords} entries, got {len(upper)}"
             )
+        if any(not isinstance(v, int) for v in upper):
+            raise TypeError("entries must be ints encoding field elements")
         if any(not (0 <= v < field.q) for v in upper):
             raise ValueError("entry out of range for the field")
         self.params = params
@@ -390,19 +393,13 @@ def canonical_decompose(a: SkewMat) -> tuple[list[list[int]], int]:
 _RANK_TABLES: dict[tuple, bytearray] = {}
 
 
-def _pack(coords, q: int) -> int:
-    idx = 0
-    for v in reversed(coords):
-        idx = idx * q + v
-    return idx
-
-
 def _rank_table_key(params: SchemeParams, field: FieldSpec) -> tuple:
     return (params.t, field.table_key())
 
 
 def _build_rank_table(params: SchemeParams, field: FieldSpec) -> bytearray:
-    """Skew rank of every matrix in the space, indexed by packed coords.
+    """Skew rank of every matrix in the space, indexed by packed coords:
+    index = sum of coords[i] q^i, coordinate 0 the lowest digit.
 
     Built from the table of the (t-1)-space by bordering.  Write
     M = [[0, b^T], [-b, A]], b the first row of M past its diagonal and A
@@ -413,7 +410,7 @@ def _build_rank_table(params: SchemeParams, field: FieldSpec) -> bytearray:
         skew_rank M = skew_rank A + [b . k != 0 for some k in ker A],
 
     the step behind Carlitz's census.  b is coordinates 0..t-2, the low
-    digits of _pack, and A's coordinates follow in the (t-1)-space's own
+    digits of the index, and A's coordinates follow in the (t-1)-space's own
     order, so index(M) = index(b) + q^(t-1) index(A).  Block a of the table,
     its q^(t-1) contiguous entries, is therefore small[a] plus the indicator
     of {b : b . k != 0 for some k in a basis of ker A}, built over b's digits
@@ -456,7 +453,7 @@ def _border(small: bytearray, t: int, field: FieldSpec) -> bytearray:
         if 2 * s == t - 1:
             table[at:at + width] = full
             continue
-        # product varies its last coordinate fastest, _pack its first
+        # product varies its last coordinate fastest, the index its first
         mat = _alt_rows(t - 1, field, reversed(coords), pos)
         hit = 0
         for k in map(tuple, _pair_off(mat, field)[1]):
@@ -529,6 +526,8 @@ def _rref(rows: list[list[int]], field: FieldSpec) -> tuple[list[list[int]], lis
     pivots: list[int] = []
     rank = 0
     for col in range(ncols):
+        if rank == nrows:
+            break
         piv = None
         for r in range(rank, nrows):
             if m[r][col]:
@@ -558,6 +557,14 @@ class LinearCode:
 
     def __init__(self, params: SchemeParams, field: FieldSpec,
                  basis: tuple[SkewMat, ...]):
+        if field.q != params.q:
+            raise ValueError("field and params disagree on q")
+        for i, b in enumerate(basis):
+            if b.params != params or b.field.table_key() != field.table_key():
+                raise ValueError(
+                    f"basis matrix {i} is not in the code's space "
+                    f"(q={params.q}, t={params.t}, modulus {field.modulus})"
+                )
         rows = [list(b.upper) for b in basis]
         red, _ = _rref(rows, field)
         if len(red) != len(basis):
@@ -653,13 +660,16 @@ def weight_distribution(code: LinearCode,
                         budget: int = DEFAULT_BUDGET) -> WeightDist:
     """Counts of codewords by skew rank over all q^k words.
 
-    The zero word counts once, and each rank of the projective walk
-    _span_ranks counts q - 1 times, once per nonzero multiple of its word:
-    (q^k - 1)/(q - 1) words are ranked.  The walk reads the space's rank
-    table, built once per process, whenever rank_table gives one: the space
-    fits under _RANK_TABLE_CAP, a memory cap.  Above it each word is ranked
-    by _alt_rank.  Memory beyond the table is O(1) in q^k: only the current
-    word is held.
+    The zero word counts once, and every other rank counts q - 1 times, once
+    per nonzero multiple of its word: one word on each line through zero is
+    ranked, (q^k - 1)/(q - 1) in all.  Whenever rank_table gives a table
+    (the space fits under _RANK_TABLE_CAP, a memory cap; the table is built
+    once per process) the words are read from it one table row at a time by
+    _RowWalk, in batches of at most 256 ranks that are joined 64 at a time,
+    counted and dropped.  Above the cap each word is ranked by _alt_rank
+    along _span_ranks.  Memory beyond the table and its per-field and
+    per-table translate data is O(1) in q^k: one group of batches, at most
+    16 KiB, is held, or one word.
     """
     params, field = code.params, code.field
     size = field.q**code.k
@@ -667,16 +677,23 @@ def weight_distribution(code: LinearCode,
         raise EnumerationBudgetError(
             f"q^k = {size} exceeds the enumeration budget {budget}"
         )
-    counts = [1] + [0] * params.n
+    n, multiples = params.n, field.q - 1
+    ranked = [0] * (n + 1)
     tbl = rank_table(params, field)
-    multiples = field.q - 1
-    for rank in _span_ranks(params, field, code.basis_rows(), tbl):
-        counts[rank] += multiples
-    return WeightDist(params, tuple(counts))
+    if tbl is None:
+        for rank in _span_ranks(params, field, code.basis_rows()):
+            ranked[rank] += 1
+    else:
+        batches = _RowWalk(params, field, tbl, code.basis_rows()).lines()
+        while group := b"".join(islice(batches, 64)):
+            for r in range(1, n + 1):
+                ranked[r] += group.count(r)
+    return WeightDist(params, (1, *(multiples * c for c in ranked[1:])))
 
 
-def _span_ranks(params: SchemeParams, field: FieldSpec, rows, tbl):
-    """Skew rank of rows[i] + w for every w in span(rows[i+1:]), i = 0..k-1.
+def _span_ranks(params: SchemeParams, field: FieldSpec, rows):
+    """Skew rank of rows[i] + w for every w in span(rows[i+1:]), i = 0..k-1,
+    each word ranked by _alt_rank: the enumeration of spaces no table covers.
 
     That is one nonzero word on each line through zero of span(rows), its
     projective points: (q^k - 1)/(q - 1) values, rows[0] + span(rows[1:])
@@ -690,49 +707,14 @@ def _span_ranks(params: SchemeParams, field: FieldSpec, rows, tbl):
     span(rows[1:]), last row first, then rows[0]: span(rows[i+1:]) is
     spanned by the first m = (k-1-i)e of them and rows[i] is vector number
     m.  So the step data are built once per call, and each coset restarts
-    the step loop on a prefix.  With a table the walk carries the packed
-    base-q index and yields tbl[index]; with tbl None it carries the matrix
-    in _alt_rank's form and ranks it.  The choice is made once, outside the
-    step loops.
+    the step loop on a prefix.  The walk carries the matrix in _alt_rank's
+    form: one int at q = 2, t row lists otherwise.
     """
-    t, q, p, e = params.t, field.q, field.p, field.e
-    add, mul, neg = field._add, field._mul, field._neg
-    vectors = [[mul[p**j][v] for v in row] if j else row
-               for row in reversed(rows[1:]) for j in range(e)] + rows[:1]
-    starts = range(len(vectors) - 1, -1, -e)
-    if tbl is not None and p == 2:
-        # the index is the concatenation of the words' bits: a step is a XOR
-        masks = [_pack(v, q) for v in vectors]
-        for m in starts:
-            idx = masks[m]
-            yield tbl[idx]
-            for s in range(1, 1 << m):
-                idx ^= masks[(s & -s).bit_length() - 1]
-                yield tbl[idx]
-    elif tbl is not None:
-        # per vector, per coordinate of its support: the coordinate, its new
-        # value and the change of the packed index, both by old value; rows[0]
-        # is never a step, and each start is packed as its coset begins
-        steps = [
-            [(c, add[g], [(add[g][v] - v) * q**c for v in range(q)])
-             for c, g in enumerate(vec) if g]
-            for vec in vectors[:-1]
-        ]
-        for m in starts:
-            word = list(vectors[m])
-            idx = _pack(word, q)
-            yield tbl[idx]
-            for s in range(1, p**m):
-                r = 0
-                while not s % p:
-                    s //= p
-                    r += 1
-                for c, new, delta in steps[r]:
-                    old = word[c]
-                    word[c] = new[old]
-                    idx += delta[old]
-                yield tbl[idx]
-    elif q == 2:
+    t, q, p = params.t, field.q, field.p
+    add, neg = field._add, field._neg
+    vectors = _fp_basis(rows[1:], field) + rows[:1]
+    starts = range(len(vectors) - 1, -1, -field.e)
+    if q == 2:
         # the matrix is one int, and a step XORs in the vector's mask
         masks = [_alt_form(t, field, v) for v in vectors]
         for m in starts:
@@ -741,31 +723,215 @@ def _span_ranks(params: SchemeParams, field: FieldSpec, rows, tbl):
             for s in range(1, 1 << m):
                 mat ^= masks[(s & -s).bit_length() - 1]
                 yield _alt_rank(mat, t, field)
-    else:
-        # t row lists, which a step updates at (i, j) and (j, i) on the
-        # vector's support; a coset starts as the zero matrix stepped once
-        mat = [[0] * t for _ in range(t)]
-        steps = [
-            [(mat[i], j, add[g], mat[j], i, add[neg[g]])
-             for (i, j), g in zip(upper_positions(t), vec) if g]
-            for vec in vectors
-        ]
-        for m in starts:
-            for row in mat:
-                row[:] = [0] * t
-            for row_i, j, up, row_j, i, down in steps[m]:
+        return
+    # t row lists, which a step updates at (i, j) and (j, i) on the
+    # vector's support; a coset starts as the zero matrix stepped once
+    mat = [[0] * t for _ in range(t)]
+    steps = [
+        [(mat[i], j, add[g], mat[j], i, add[neg[g]])
+         for (i, j), g in zip(upper_positions(t), vec) if g]
+        for vec in vectors
+    ]
+    for m in starts:
+        for row in mat:
+            row[:] = [0] * t
+        for row_i, j, up, row_j, i, down in steps[m]:
+            row_i[j] = up[row_i[j]]
+            row_j[i] = down[row_j[i]]
+        yield _alt_rank(mat, t, field)
+        for s in range(1, p**m):
+            r = 0
+            while not s % p:
+                s //= p
+                r += 1
+            for row_i, j, up, row_j, i, down in steps[r]:
                 row_i[j] = up[row_i[j]]
                 row_j[i] = down[row_j[i]]
             yield _alt_rank(mat, t, field)
-            for s in range(1, p**m):
-                r = 0
-                while not s % p:
-                    s //= p
-                    r += 1
-                for row_i, j, up, row_j, i, down in steps[r]:
-                    row_i[j] = up[row_i[j]]
-                    row_j[i] = down[row_j[i]]
-                yield _alt_rank(mat, t, field)
+
+
+def _fp_basis(rows, field: FieldSpec) -> list:
+    """Each row times x^j for j < e, x^j being the integer p^j, last row
+    first: an F_p-basis of span(rows) whose first (k-i)e vectors span
+    rows[i:]."""
+    mul, p = field._mul, field.p
+    return [[mul[p**j][v] for v in row] if j else row
+            for row in reversed(rows) for j in range(field.e)]
+
+
+class _Rows(dict):
+    """Translate tables made by `build` on first use, then kept."""
+
+    __slots__ = ("build",)
+
+    def __init__(self, build):
+        super().__init__()
+        self.build = build
+
+    def __missing__(self, key):
+        row = self[key] = self.build(key)
+        return row
+
+
+# per field: c, q^c and the translate tables u -> u + a of chunk values
+_CHUNK_SUMS: dict[tuple, tuple[int, int, _Rows]] = {}
+
+
+def _chunk_sums(field: FieldSpec) -> tuple[int, int, _Rows]:
+    """c, the most coordinates whose q^c values index a translate table, q^c,
+    and the field's cached tables u -> u + a over chunk values u < q^c, the
+    sum taken digit by digit in GF(q) (a XOR at p = 2), padded to 256."""
+    layout = _CHUNK_SUMS.get(field.table_key())
+    if layout is None:
+        q, add = field.q, field._add
+        c = 1
+        while q ** (c + 1) <= 256:
+            c += 1
+        width = q**c
+
+        def build(a: int) -> bytes:
+            sums, w = [0], 1
+            while w < width:  # digit at place w: index d w + lower, a_w + d
+                sums = [v + s * w for s in add[a // w % q] for v in sums]
+                w *= q
+            return bytes(sums) + bytes(256 - width)
+
+        layout = _CHUNK_SUMS[field.table_key()] = (c, width, _Rows(build))
+    return layout
+
+
+# _RowWalk eliminates on the rows outside C_in only when they span more
+# words than this: below it, the batches an elimination could merge cost
+# less than the elimination
+_SPLIT_WORDS = 64
+
+# per table: the table, a memoryview of it, its zero-padded last entries and
+# the place values q^i of the index
+_TABLE_VIEWS: dict[tuple, tuple[bytearray, memoryview, memoryview, list]] = {}
+
+
+def _table_view(params: SchemeParams, field: FieldSpec,
+                tbl: bytearray) -> tuple[memoryview, memoryview, list[int]]:
+    """The table as a memoryview; its last 256 entries followed by 256 zeros
+    (left-padded with zeros to 256 first when the table is shorter); and
+    q^i for each coordinate i.  Kept per table while it is the one
+    rank_table gives."""
+    key = _rank_table_key(params, field)
+    kept = _TABLE_VIEWS.get(key)
+    if kept is None or kept[0] is not tbl:
+        tail = bytes(tbl[-256:]).rjust(256, b"\0") + bytes(256)
+        places = [field.q**i for i in range(params.num_coords)]
+        kept = _TABLE_VIEWS[key] = (tbl, memoryview(tbl), memoryview(tail),
+                                    places)
+    return kept[1:]
+
+
+class _RowWalk:
+    """span(rows) in a tabled space, ranked one table row at a time.
+
+    The table is read as rows of L = q^c entries, c from _chunk_sums, so
+    index = low + L high, where low packs coordinates 0..c-1 and high the
+    rest: at most two more chunks of c coordinates under the cap, (c1, c2),
+    high = c1 + L c2.  The 256 entries of the table from L high on are then
+    a bytes.translate table for row `high`, read in place through a
+    memoryview; entries past L are never indexed, and the last rows, whose
+    256 entries would run past the table, are read from its padded tail.
+
+    Any split of the basis into `outer` and `inner` rows splits the span as
+    span(outer) + C_in, and the walk needs only that the inner rows be zero
+    in the high coordinates: rows that are go to C_in.  When the other rows
+    outnumber the high coordinates, some combination of them must vanish
+    there; if they also span more than _SPLIT_WORDS words, they go through
+    one _rref on the reversed rows, which takes pivots from the highest
+    coordinate down: the rows pivoted in the high coordinates are `outer`,
+    and the rest, zero there, join C_in, which then has dimension
+    k - rank(high part), the most any split gives.  x holds the low chunks
+    of the words of C_in, at most q^c <= 256 bytes, built over its
+    F_p-basis by translate-doubling, last row first, so that x[:q^j] is the
+    span of its last j rows.  For a word y the ranks of y + C_in are
+
+        x.translate(sums[low(y)]).translate(table row high(y)),
+
+    one batch of q^dim C_in ranks for two calls.  The words y are walked as
+    in _span_ranks, over the F_p-basis of `outer`, each step updating y's
+    three chunk values by one lookup each in the step vector's sum tables.
+    """
+
+    __slots__ = ("q", "p", "e", "width", "sums", "view", "edge", "tail",
+                 "places", "inner", "x", "vectors", "steps")
+
+    def __init__(self, params: SchemeParams, field: FieldSpec,
+                 tbl: bytearray, rows):
+        q, p = field.q, field.p
+        self.q, self.p, self.e = q, p, field.e
+        c, self.width, self.sums = _chunk_sums(field)
+        sums = self.sums
+        if len(tbl) > self.width**3:
+            raise ValueError(f"table of {len(tbl)} entries past three chunks")
+        # a row starting at entry `at` is read in place up to at = edge; past
+        # it from tail, whose byte i is entry edge + i
+        self.view, self.tail, self.places = _table_view(params, field, tbl)
+        self.edge = len(tbl) - 256
+        inner = [row for row in rows if not any(row[c:])]
+        outer = [row for row in rows if any(row[c:])]
+        nhigh = params.num_coords - c
+        if len(outer) > nhigh and q ** len(outer) > _SPLIT_WORDS:
+            red, pivots = _rref([row[::-1] for row in outer], field)
+            inner += [r[::-1] for r, pc in zip(red, pivots) if pc >= nhigh]
+            outer = [r[::-1] for r, pc in zip(red, pivots) if pc < nhigh]
+        lows = [self._chunks(v)[0] for v in _fp_basis(inner, field)]
+        self.inner = lows[::field.e][::-1]
+        x = b"\0"
+        for low in lows:
+            step, y, parts = sums[low], x, [x]
+            for _ in range(p - 1):
+                y = y.translate(step)
+                parts.append(y)
+            x = b"".join(parts)
+        self.x = x
+        self.vectors = [self._chunks(v) for v in _fp_basis(outer, field)]
+        self.steps = [(sums[a], sums[b], sums[d]) for a, b, d in self.vectors]
+
+    def _chunks(self, word) -> tuple[int, int, int]:
+        high, low = divmod(sum(map(mul, word, self.places)), self.width)
+        c2, c1 = divmod(high, self.width)
+        return low, c1, c2
+
+    def lines(self):
+        """Ranks of one word on each line through zero of the span, in
+        batches: y + C_in for each y of the projective walk over `outer`,
+        then C_in's own lines, row i + span(later rows) as a prefix of x."""
+        vectors, e, x = self.vectors, self.e, self.x
+        yield from self._batches(
+            [(vectors[m], m) for m in range(len(vectors) - e, -1, -e)], x)
+        k_in = len(self.inner)
+        edge = self.edge
+        row = self.view[:256] if edge >= 0 else self.tail[-edge:256 - edge]
+        for i, low in enumerate(self.inner):
+            yield x[:self.q ** (k_in - 1 - i)].translate(self.sums[low]).translate(row)
+
+    def coset(self, word):
+        """Ranks of word + span, in q^dim(outer) batches."""
+        return self._batches([(self._chunks(word), len(self.vectors))], self.x)
+
+    def _batches(self, walks, x):
+        """For each (start, m) of walks, the ranks of y + C_in, one batch per
+        y in start + span_F_p(vectors[:m]), in p-ary Gray order."""
+        sums, steps, p = self.sums, self.steps, self.p
+        width, view, edge, tail = self.width, self.view, self.edge, self.tail
+        for (low, c1, c2), m in walks:
+            for s in range(p**m):
+                if s:
+                    r = 0
+                    while not s % p:
+                        s //= p
+                        r += 1
+                    s0, s1, s2 = steps[r]
+                    low, c1, c2 = s0[low], s1[c1], s2[c2]
+                at = width * (c1 + width * c2)
+                row = (view[at:at + 256] if at <= edge
+                       else tail[at - edge:at - edge + 256])
+                yield x.translate(sums[low]).translate(row)
 
 
 def min_distance(code: LinearCode, budget: int = DEFAULT_BUDGET) -> int:

@@ -21,6 +21,7 @@ from .gfcodes import (
     LinearCode,
     SchemeParams,
     WeightDist,
+    _RowWalk,
     _span_ranks,
     full_space_code,
     make_field,
@@ -315,11 +316,14 @@ def find_msrd(
 
     Greedy basis growth with early rejection: a candidate matrix joins the
     basis only if every word of cand + span(basis) keeps skew rank >= d.
-    That coset is the first q^|basis| ranks of the projective walk
-    _span_ranks of [cand, *basis].  It covers the whole grown span: a new
-    word c cand + w with c != 0 is c (cand + w / c), and a nonzero multiple
-    keeps the skew rank (a candidate already in the span meets the zero
-    word).
+    That coset covers the whole grown span: a new word c cand + w with
+    c != 0 is c (cand + w / c), and a nonzero multiple keeps the skew rank
+    (a candidate already in the span meets the zero word).  In a tabled
+    space it is read from the table by _RowWalk.coset, a batch of ranks at
+    a time, from a walk over the basis set up again only when a candidate
+    joins, so that no elimination runs per candidate; above the cap it is
+    the first q^|basis| ranks of the projective walk _span_ranks of
+    [cand, *basis].
     Returns None once `budget` candidate samples are spent (existence is a
     property of the parameters, not of this search).
     """
@@ -341,16 +345,23 @@ def find_msrd(
     samples = 0
     while samples < budget:
         basis: list[tuple[int, ...]] = []
+        walk = None if tbl is None else _RowWalk(params, field, tbl, basis)
         stuck = 0
         while len(basis) < k_target and samples < budget:
             cand = tuple(rng.randrange(q) for _ in range(ncoords))
             samples += 1
             if not any(cand):
                 continue
-            coset = islice(_span_ranks(params, field, [cand, *basis], tbl),
-                           q ** len(basis))
-            if all(r >= d for r in coset):
+            if walk is None:
+                coset = islice(_span_ranks(params, field, [cand, *basis]),
+                               q ** len(basis))
+                rejected = any(r < d for r in coset)
+            else:
+                rejected = any(map(d.__gt__, map(min, walk.coset(cand))))
+            if not rejected:
                 basis.append(cand)
+                if walk is not None:
+                    walk = _RowWalk(params, field, tbl, basis)
                 stuck = 0
             else:
                 stuck += 1

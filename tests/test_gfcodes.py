@@ -273,6 +273,14 @@ class TestSkewMat:
         with pytest.raises(ValueError):
             SkewMat(p, f, (0, 0, 0))
 
+    def test_rejects_non_int_entries(self):
+        # 1.0 is in range and would index the field's tables as a float
+        p = SchemeParams(3, 4)
+        f = make_field(3)
+        for bad in (1.0, "1", None):
+            with pytest.raises(TypeError, match="ints"):
+                SkewMat(p, f, (bad, 0, 0, 0, 0, 0))
+
 
 class TestSkewRank:
     def test_zero_matrix(self):
@@ -648,21 +656,48 @@ def rank_counts(params, ranks):
     return tuple(ranks.count(r) for r in range(params.n + 1))
 
 
-class OracleTable:
-    """Stands in for a rank table: decodes a packed index and ranks it."""
+def assert_batches_are_cosets(code, walk) -> int:
+    """The batches of walk.lines() against the words of the code.
 
-    def __init__(self, params, field):
-        self.params, self.field = params, field
-        self.lookups = 0
+    C_in is the words whose low chunks walk.x holds, zero past them: it
+    must lie in the code, and the first batches must be one coset of C_in
+    per line through zero of C / C_in, the rest C_in's own lines, one word
+    each.  Returns the largest dimension C_in could have, that of the words
+    of C zero past the low chunk.
+    """
+    import skewrank.gfcodes as g
 
-    def __getitem__(self, idx):
-        self.lookups += 1
-        coords = []
-        for _ in range(self.params.num_coords):
-            idx, v = divmod(idx, self.field.q)
-            coords.append(v)
-        assert idx == 0
-        return skew_rank(SkewMat(self.params, self.field, tuple(coords)))
+    params, field, q = code.params, code.field, code.field.q
+    ncoords, c = params.num_coords, g._chunk_sums(field)[0]
+    ranks = {}
+    for coeffs in itertools.product(range(q), repeat=code.k):
+        word = SkewMat(params, field, (0,) * ncoords)
+        for a, b in zip(coeffs, code.basis):
+            word = word.add(b.scale(a))
+        ranks[word.upper] = skew_rank(word)
+    inner = [tuple(v // q**i % q if i < c else 0 for i in range(ncoords))
+             for v in walk.x]
+    assert len(set(inner)) == len(inner) and set(inner) <= set(ranks)
+    cosets, seen = [], set()
+    for y in ranks:
+        if y not in seen:
+            coset = [tuple(map(field.add, y, d)) for d in inner]
+            seen.update(coset)
+            cosets.append([ranks[w] for w in coset])
+    inner_ranks = cosets.pop(0)  # the coset of the zero word, first in ranks
+    batches = list(walk.lines())
+    lines = len(cosets) // (q - 1)
+    assert sum(map(len, batches)) == (q**code.k - 1) // (q - 1)
+    assert all(len(b) == len(inner) for b in batches[:lines])
+    # the q - 1 nonzero multiples of a coset have its counts
+    want = sorted(rank_counts(params, ranks) for ranks in cosets)
+    got = [rank_counts(params, b) for b in batches[:lines]]
+    assert sorted(got * (q - 1)) == want
+    inner_lines = b"".join(batches[lines:])
+    assert [(q - 1) * n for n in rank_counts(params, inner_lines)] == [
+        n - (r == 0) for r, n in enumerate(rank_counts(params, inner_ranks))]
+    low_words = sum(not any(w[c:]) for w in ranks)
+    return next(d for d in range(code.k + 1) if q**d == low_words)
 
 
 class TestWeightDistribution:
@@ -887,6 +922,23 @@ class TestLinearCode:
                 p, f, [(1, 0, 0, 0, 0, 0), (2, 0, 0, 0, 0, 0)]
             )
 
+    def test_rejects_basis_of_another_space(self):
+        # a t=5 or GF(5) matrix in a (3,4) code used to give (1, 2, 0) or an
+        # IndexError
+        p, f = SchemeParams(3, 4), make_field(3)
+        e01 = (1,) + (0,) * 9
+        for other in (SkewMat(SchemeParams(3, 5), f, e01),
+                      SkewMat(SchemeParams(5, 4), make_field(5), e01[:6])):
+            with pytest.raises(ValueError, match="basis matrix 1"):
+                LinearCode(p, f, (SkewMat(p, f, e01[:6]), other))
+        # GF(8) under its other irreducible modulus, x^3 + x^2 + 1
+        p8 = SchemeParams(8, 3)
+        other = SkewMat(p8, make_field(8, (1, 0, 1, 1)), (1, 0, 0))
+        with pytest.raises(ValueError, match="basis matrix 0"):
+            LinearCode(p8, make_field(8), (other,))
+        with pytest.raises(ValueError, match="disagree on q"):
+            LinearCode(p, make_field(5), ())
+
     def test_from_spanning_reduces(self):
         p = SchemeParams(3, 4)
         f = make_field(3)
@@ -929,10 +981,10 @@ class TestEnumerationPaths:
     def test_walk_matches_product_oracle(self, monkeypatch, mode):
         import skewrank.gfcodes as g
 
-        monkeypatch.setattr(g, "_RANK_TABLES", {})
         calls = 0
         if mode == "no-table":
             monkeypatch.setattr(g, "_RANK_TABLE_CAP", 0)
+            monkeypatch.setattr(g, "_RANK_TABLES", {})
             real = g._alt_rank
 
             def counted(*args):
@@ -947,42 +999,120 @@ class TestEnumerationPaths:
             cases += [(2, 6), (2, 7), (2, 8)]  # q=2 matrices of 36-64 bits
         for q, t in cases:
             p, f = SchemeParams(q, t), make_field(q)
-            # a stand-in table checks every packed index the walk looks up
-            table = OracleTable(p, f)
-            if mode == "table":
-                g._RANK_TABLES[g._rank_table_key(p, f)] = table
-            tbl = table if mode == "table" else None
+            tbl = rank_table(p, f)
+            assert (tbl is None) == (mode == "no-table")
             for k in range(4):
                 if q**k > 800:
                     continue
                 code = dense_code(p, f, k, rng)
                 rows = code.basis_rows()
                 # k = 0 walks nothing and counts the zero word alone
-                calls = table.lookups = 0
+                calls = 0
                 assert weight_distribution(code).counts == product_oracle(code)
-                # one word is ranked per line through zero
-                assert calls + table.lookups == (q**k - 1) // (q - 1)
-                # coset i is rows[i] + span(rows[i+1:]), in order of i
-                ranks = list(g._span_ranks(p, f, rows, tbl))
-                assert len(ranks) == (q**k - 1) // (q - 1)
-                for i in range(k):
-                    tail = LinearCode(p, f, code.basis[i + 1:])
-                    coset, ranks = ranks[:tail.size], ranks[tail.size:]
-                    assert rank_counts(p, coset) == product_oracle(tail, rows[i])
+                if mode == "table":
+                    # batches of cosets, (q^k - 1)/(q - 1) words in all
+                    walk = g._RowWalk(p, f, tbl, rows)
+                    assert_batches_are_cosets(code, walk)
+                else:
+                    # one word is ranked per line through zero
+                    assert calls == (q**k - 1) // (q - 1)
+                    # coset i is rows[i] + span(rows[i+1:]), in order of i
+                    ranks = list(g._span_ranks(p, f, rows))
+                    assert len(ranks) == (q**k - 1) // (q - 1)
+                    for i in range(k):
+                        tail = LinearCode(p, f, code.basis[i + 1:])
+                        coset, ranks = ranks[:tail.size], ranks[tail.size:]
+                        assert (rank_counts(p, coset)
+                                == product_oracle(tail, rows[i]))
                 # find_msrd's coset cand + span(rows), from a random nonzero
                 # word and from a nonzero word of the span, which meets zero
                 cands = [random_nonzero(p.num_coords, q, rng)]
                 if k:
                     cands.append(code.basis[-1].scale(rng.randrange(1, q)).upper)
                 for cand in cands:
-                    walk = g._span_ranks(p, f, [cand, *rows], tbl)
-                    coset = list(itertools.islice(walk, q**k))
+                    if mode == "table":
+                        coset = b"".join(walk.coset(cand))
+                    else:
+                        walk = g._span_ranks(p, f, [cand, *rows])
+                        coset = list(itertools.islice(walk, q**k))
                     assert len(coset) == q**k
                     assert rank_counts(p, coset) == product_oracle(code, cand)
                 assert not k or 0 in coset
-            assert (table.lookups > 0) == (mode == "table")
+
+    # (q, t) -> chunks of the table index: c = 8, 5, 4, 3, 2, 2, 2, 2
+    # coordinates a chunk at q = 2, 3, 4, 5, 7, 8, 9, 11
+    ROW_WALK_SPACES = {
+        (2, 3): 1, (2, 4): 1, (4, 3): 1, (5, 3): 1,
+        (2, 5): 2, (3, 4): 2, (3, 5): 2, (5, 4): 2, (11, 3): 2,
+        (4, 5): 3, (7, 4): 3, (8, 4): 3, (9, 4): 3,
+    }
+
+    # where some code of at most 1000 words has more than 64 words outside
+    # C_in spanned by more rows than the N - c high coordinates
+    ELIMINATING = {(2, 5), (3, 5), (5, 4), (11, 3)}
+
+    @pytest.mark.parametrize("q,t", sorted(ROW_WALK_SPACES))
+    def test_row_walk_matches_product_oracle(self, q, t):
+        # every built-in q and (11, 3), tables of one to three chunks, the
+        # two cap-size spaces (4,5) and (9,4), inner dimension 0 and k, the
+        # zero code, the full space, and k on both sides of N/2
+        import skewrank.gfcodes as g
+
+        p, f = SchemeParams(q, t), make_field(q)
+        ncoords, c = p.num_coords, g._chunk_sums(f)[0]
+        assert -(-ncoords // c) == self.ROW_WALK_SPACES[q, t]
+        tbl = rank_table(p, f)
+        rng = random.Random(q * 100 + t)
+        unit = [tuple(int(i == j) for j in range(ncoords))
+                for i in range(ncoords)]
+        # rows all low span C_in itself; rows all high meet it in zero
+        low = LinearCode.from_rows(p, f, unit[:min(c, ncoords, 3)])
+        codes = [zero_code(p, f), low]
+        if ncoords > c:
+            high = LinearCode.from_rows(p, f, unit[c:][-3:])
+            assert g._RowWalk(p, f, tbl, high.basis_rows()).inner == []
+            codes.append(high)
+        assert len(g._RowWalk(p, f, tbl, low.basis_rows()).inner) == low.k
+        codes += [dense_code(p, f, k, rng) for k in range(1, ncoords)
+                  if q**k <= 1000]
+        if q ** (ncoords // 2 + 1) <= 1000:
+            assert any(2 * code.k > ncoords for code in codes)
+        eliminated = set()
+        for code in codes:
+            walk = g._RowWalk(p, f, tbl, code.basis_rows())
+            assert weight_distribution(code).counts == product_oracle(code)
+            most = assert_batches_are_cosets(code, walk)
+            # the elimination runs when the rows outside C_in outnumber the
+            # high coordinates and span more than 64 words, and then finds
+            # the largest C_in
+            outside = sum(any(r[c:]) for r in code.basis_rows())
+            if outside > ncoords - c and q**outside > 64:
+                assert len(walk.inner) == most
+                eliminated.add(code.k)
+            else:
+                assert len(walk.inner) <= most
+            cand = random_nonzero(ncoords, q, rng)
+            coset = b"".join(walk.coset(cand))
+            assert rank_counts(p, coset) == product_oracle(code, cand)
+        assert bool(eliminated) == ((q, t) in self.ELIMINATING), eliminated
+        full = weight_distribution(full_space_code(p, f))
+        assert full.counts == tuple(xi(p, s) for s in range(p.n + 1))
 
     def test_walk_memory_is_constant(self):
+        # (4,5) is the full space at the cap, 2^20 words in 4096 batches of
+        # 256: a walk holding its batches would pass the bound by itself
+        big = SchemeParams(4, 5)
+        rank_table(big, make_field(4))
+        tracemalloc.start()
+        try:
+            wd = weight_distribution(full_space_code(big, make_field(4)))
+            _, walk_peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert wd.counts == tuple(xi(big, s) for s in range(big.n + 1))
+        assert wd.size == 1 << 20
+        assert walk_peak < 1 << 20
+
         p, f = SchemeParams(3, 5), make_field(3)
         want = rank_table(p, f)
         code = full_space_code(p, f)

@@ -412,20 +412,32 @@ class TestFindMsrd:
     @pytest.mark.parametrize("mode", ["table", "no-table"])
     def test_each_walk_ranks_one_coset(self, monkeypatch, mode):
         # cand + span(basis): at most q^|basis| words, not the grown span
+        walks = []
         if mode == "no-table":
             monkeypatch.setattr(gfcodes, "_RANK_TABLE_CAP", 0)
             monkeypatch.setattr(gfcodes, "_RANK_TABLES", {})
-        walks = []
-        real = moments._span_ranks
+            real = moments._span_ranks
 
-        def counted(params, field, rows, tbl):
-            assert (tbl is None) == (mode == "no-table")
-            walks.append([field.q ** (len(rows) - 1), 0])
-            for rank in real(params, field, rows, tbl):
-                walks[-1][1] += 1
-                yield rank
+            def counted(params, field, rows):
+                walks.append([field.q ** (len(rows) - 1), 0])
+                for rank in real(params, field, rows):
+                    walks[-1][1] += 1
+                    yield rank
 
-        monkeypatch.setattr(moments, "_span_ranks", counted)
+            monkeypatch.setattr(moments, "_span_ranks", counted)
+        else:
+            monkeypatch.setattr(moments, "_span_ranks",
+                                lambda *args: pytest.fail("_span_ranks"))
+            real = gfcodes._RowWalk.coset
+
+            def counted(walk, cand):
+                k = len(walk.vectors) // walk.e + len(walk.inner)
+                walks.append([walk.q**k, 0])
+                for batch in real(walk, cand):
+                    walks[-1][1] += len(batch)
+                    yield batch
+
+            monkeypatch.setattr(gfcodes._RowWalk, "coset", counted)
         for q, t in ((2, 5), (3, 4), (4, 4)):
             find_msrd(SchemeParams(q, t), 2, budget=300, seed=3)
         assert len(walks) > 100

@@ -1,6 +1,7 @@
 """Checks on the library's source text."""
 
 import ast
+import sys
 from pathlib import Path
 
 import skewrank
@@ -42,6 +43,37 @@ def test_library_has_no_function_local_imports():
             if isinstance(node, (ast.Import, ast.ImportFrom))
         ]
     assert not found, f"imports inside functions: {found}"
+
+
+def _foreign_imports(tree) -> list[str]:
+    """Modules a tree imports from outside the standard library, other than
+    the package itself and its relative imports."""
+    names = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names += [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            names.append(node.module)
+    return [name for name in names
+            if name.partition(".")[0] not in sys.stdlib_module_names
+            and name.partition(".")[0] != "skewrank"]
+
+
+def test_library_imports_only_the_standard_library():
+    # the package declares no dependencies, so a third-party import that
+    # happens to be installed here would break a plain install elsewhere
+    for bad in ("import numpy as np", "from numpy.linalg import matrix_rank",
+                "import os, sympy"):
+        assert _foreign_imports(ast.parse(bad)), bad
+    for good in ("from __future__ import annotations", "import os.path",
+                 "from .gfcodes import dual", "from skewrank import cli",
+                 "from collections.abc import Iterable"):
+        assert not _foreign_imports(ast.parse(good)), good
+    found = []
+    for path in sorted(SRC.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        found += [f"{path.name}:{name}" for name in _foreign_imports(tree)]
+    assert not found, f"imports from outside the standard library: {found}"
 
 
 # functions that return an int wherever their value is integral, so `/` on
