@@ -470,8 +470,9 @@ def _border(small: bytearray, t: int, field: FieldSpec) -> bytearray:
 
 def rank_table(params: SchemeParams, field: FieldSpec) -> bytearray | None:
     """Cached full-space rank table, or None when the space is too large."""
-    q = field.q
-    if q**params.num_coords > _RANK_TABLE_CAP:
+    if field.q != params.q:
+        raise ValueError("field and params disagree on q")
+    if field.q**params.num_coords > _RANK_TABLE_CAP:
         return None
     key = _rank_table_key(params, field)
     tbl = _RANK_TABLES.get(key)
@@ -560,6 +561,9 @@ class LinearCode:
         if field.q != params.q:
             raise ValueError("field and params disagree on q")
         for i, b in enumerate(basis):
+            if not isinstance(b, SkewMat):
+                raise TypeError(f"basis entry {i} is not a SkewMat; build a "
+                                "code from rows with LinearCode.from_rows")
             if b.params != params or b.field.table_key() != field.table_key():
                 raise ValueError(
                     f"basis matrix {i} is not in the code's space "
@@ -667,9 +671,9 @@ def weight_distribution(code: LinearCode,
     once per process) the words are read from it one table row at a time by
     _RowWalk, in batches of at most 256 ranks that are joined 64 at a time,
     counted and dropped.  Above the cap each word is ranked by _alt_rank
-    along _span_ranks.  Memory beyond the table and its per-field and
-    per-table translate data is O(1) in q^k: one group of batches, at most
-    16 KiB, is held, or one word.
+    along _span_ranks.  Memory beyond the table and the per-field sum tables
+    of _chunk_sums is O(1) in q^k: one group of batches, at most 16 KiB, is
+    held, or one word.
     """
     params, field = code.params, code.field
     size = field.q**code.k
@@ -703,17 +707,17 @@ def _span_ranks(params: SchemeParams, field: FieldSpec, rows):
     Each coset is walked over the F_p-basis of its span, each row times x^j
     for j < e (x^j is the integer p^j), in modular p-ary Gray order (Knuth,
     TAOCP 4A, 7.2.1.1): the start first, then step s = 1..p^m - 1 adds
-    basis vector number v_p(s).  The vectors are the F_p-basis of
-    span(rows[1:]), last row first, then rows[0]: span(rows[i+1:]) is
-    spanned by the first m = (k-1-i)e of them and rows[i] is vector number
-    m.  So the step data are built once per call, and each coset restarts
-    the step loop on a prefix.  The walk carries the matrix in _alt_rank's
+    basis vector number v_p(s).  The vectors are _fp_basis(rows), last row
+    first: span(rows[i+1:]) is spanned by the first m = (k-1-i)e of them
+    and rows[i] is vector number m, so the starts are m = len - e, ..., e, 0,
+    the step data are built once per call, and each coset restarts the step
+    loop on a prefix.  The walk carries the matrix in _alt_rank's
     form: one int at q = 2, t row lists otherwise.
     """
     t, q, p = params.t, field.q, field.p
     add, neg = field._add, field._neg
-    vectors = _fp_basis(rows[1:], field) + rows[:1]
-    starts = range(len(vectors) - 1, -1, -field.e)
+    vectors = _fp_basis(rows, field)
+    starts = range(len(vectors) - field.e, -1, -field.e)
     if q == 2:
         # the matrix is one int, and a step XORs in the vector's mask
         masks = [_alt_form(t, field, v) for v in vectors]
@@ -759,28 +763,18 @@ def _fp_basis(rows, field: FieldSpec) -> list:
             for row in reversed(rows) for j in range(field.e)]
 
 
-class _Rows(dict):
-    """Translate tables made by `build` on first use, then kept."""
-
-    __slots__ = ("build",)
-
-    def __init__(self, build):
-        super().__init__()
-        self.build = build
-
-    def __missing__(self, key):
-        row = self[key] = self.build(key)
-        return row
-
-
 # per field: c, q^c and the translate tables u -> u + a of chunk values
-_CHUNK_SUMS: dict[tuple, tuple[int, int, _Rows]] = {}
+_CHUNK_SUMS: dict[tuple, tuple[int, int, list[bytes]]] = {}
 
 
-def _chunk_sums(field: FieldSpec) -> tuple[int, int, _Rows]:
+def _chunk_sums(field: FieldSpec) -> tuple[int, int, list[bytes]]:
     """c, the most coordinates whose q^c values index a translate table, q^c,
-    and the field's cached tables u -> u + a over chunk values u < q^c, the
-    sum taken digit by digit in GF(q) (a XOR at p = 2), padded to 256."""
+    and the field's tables u -> u + a for every chunk value a < q^c, the sum
+    taken digit by digit in GF(q) (a XOR at p = 2), built on first use.
+
+    Each table is one bytes.translate: the table of a + d q^i, a < q^i, is
+    the table of a translated by that of d q^i, which adds d at the digit of
+    place q^i.  Entries past q^c are padding, never read."""
     layout = _CHUNK_SUMS.get(field.table_key())
     if layout is None:
         q, add = field.q, field._add
@@ -788,15 +782,14 @@ def _chunk_sums(field: FieldSpec) -> tuple[int, int, _Rows]:
         while q ** (c + 1) <= 256:
             c += 1
         width = q**c
-
-        def build(a: int) -> bytes:
-            sums, w = [0], 1
-            while w < width:  # digit at place w: index d w + lower, a_w + d
-                sums = [v + s * w for s in add[a // w % q] for v in sums]
-                w *= q
-            return bytes(sums) + bytes(256 - width)
-
-        layout = _CHUNK_SUMS[field.table_key()] = (c, width, _Rows(build))
+        sums, w = [bytes(range(256))], 1
+        while w < width:
+            for d in range(1, q):
+                shift = bytes(u + (add[u // w % q][d] - u // w % q) * w
+                              for u in range(width)).ljust(256, b"\0")
+                sums += [a.translate(shift) for a in sums[:w]]
+            w *= q
+        layout = _CHUNK_SUMS[field.table_key()] = (c, width, sums)
     return layout
 
 
@@ -804,26 +797,6 @@ def _chunk_sums(field: FieldSpec) -> tuple[int, int, _Rows]:
 # words than this: below it, the batches an elimination could merge cost
 # less than the elimination
 _SPLIT_WORDS = 64
-
-# per table: the table, a memoryview of it, its zero-padded last entries and
-# the place values q^i of the index
-_TABLE_VIEWS: dict[tuple, tuple[bytearray, memoryview, memoryview, list]] = {}
-
-
-def _table_view(params: SchemeParams, field: FieldSpec,
-                tbl: bytearray) -> tuple[memoryview, memoryview, list[int]]:
-    """The table as a memoryview; its last 256 entries followed by 256 zeros
-    (left-padded with zeros to 256 first when the table is shorter); and
-    q^i for each coordinate i.  Kept per table while it is the one
-    rank_table gives."""
-    key = _rank_table_key(params, field)
-    kept = _TABLE_VIEWS.get(key)
-    if kept is None or kept[0] is not tbl:
-        tail = bytes(tbl[-256:]).rjust(256, b"\0") + bytes(256)
-        places = [field.q**i for i in range(params.num_coords)]
-        kept = _TABLE_VIEWS[key] = (tbl, memoryview(tbl), memoryview(tail),
-                                    places)
-    return kept[1:]
 
 
 class _RowWalk:
@@ -833,9 +806,8 @@ class _RowWalk:
     index = low + L high, where low packs coordinates 0..c-1 and high the
     rest: at most two more chunks of c coordinates under the cap, (c1, c2),
     high = c1 + L c2.  The 256 entries of the table from L high on are then
-    a bytes.translate table for row `high`, read in place through a
-    memoryview; entries past L are never indexed, and the last rows, whose
-    256 entries would run past the table, are read from its padded tail.
+    a bytes.translate table for row `high`; entries past L are never
+    indexed, so a row that runs past the end of the table is padded.
 
     Any split of the basis into `outer` and `inner` rows splits the span as
     span(outer) + C_in, and the walk needs only that the inner rows be zero
@@ -847,8 +819,9 @@ class _RowWalk:
     and the rest, zero there, join C_in, which then has dimension
     k - rank(high part), the most any split gives.  x holds the low chunks
     of the words of C_in, at most q^c <= 256 bytes, built over its
-    F_p-basis by translate-doubling, last row first, so that x[:q^j] is the
-    span of its last j rows.  For a word y the ranks of y + C_in are
+    F_p-basis by translate-doubling, last row first, so that x[:p^m] is the
+    span of the first m vectors of that basis.  For a word y the ranks of
+    y + C_in are
 
         x.translate(sums[low(y)]).translate(table row high(y)),
 
@@ -857,21 +830,18 @@ class _RowWalk:
     three chunk values by one lookup each in the step vector's sum tables.
     """
 
-    __slots__ = ("q", "p", "e", "width", "sums", "view", "edge", "tail",
-                 "places", "inner", "x", "vectors", "steps")
+    __slots__ = ("p", "e", "width", "sums", "tbl", "places", "x", "vectors",
+                 "steps")
 
     def __init__(self, params: SchemeParams, field: FieldSpec,
                  tbl: bytearray, rows):
         q, p = field.q, field.p
-        self.q, self.p, self.e = q, p, field.e
+        self.p, self.e, self.tbl = p, field.e, tbl
         c, self.width, self.sums = _chunk_sums(field)
         sums = self.sums
         if len(tbl) > self.width**3:
             raise ValueError(f"table of {len(tbl)} entries past three chunks")
-        # a row starting at entry `at` is read in place up to at = edge; past
-        # it from tail, whose byte i is entry edge + i
-        self.view, self.tail, self.places = _table_view(params, field, tbl)
-        self.edge = len(tbl) - 256
+        self.places = [q**i for i in range(params.num_coords)]
         inner = [row for row in rows if not any(row[c:])]
         outer = [row for row in rows if any(row[c:])]
         nhigh = params.num_coords - c
@@ -879,11 +849,9 @@ class _RowWalk:
             red, pivots = _rref([row[::-1] for row in outer], field)
             inner += [r[::-1] for r, pc in zip(red, pivots) if pc >= nhigh]
             outer = [r[::-1] for r, pc in zip(red, pivots) if pc < nhigh]
-        lows = [self._chunks(v)[0] for v in _fp_basis(inner, field)]
-        self.inner = lows[::field.e][::-1]
         x = b"\0"
-        for low in lows:
-            step, y, parts = sums[low], x, [x]
+        for v in _fp_basis(inner, field):
+            step, y, parts = sums[self._chunks(v)[0]], x, [x]
             for _ in range(p - 1):
                 y = y.translate(step)
                 parts.append(y)
@@ -900,25 +868,26 @@ class _RowWalk:
     def lines(self):
         """Ranks of one word on each line through zero of the span, in
         batches: y + C_in for each y of the projective walk over `outer`,
-        then C_in's own lines, row i + span(later rows) as a prefix of x."""
+        then C_in's own lines: row i of C_in + span(later rows) is the block
+        x[p^m:2 p^m] for m = (dim C_in - 1 - i)e, ranked by table row 0."""
         vectors, e, x = self.vectors, self.e, self.x
         yield from self._batches(
-            [(vectors[m], m) for m in range(len(vectors) - e, -1, -e)], x)
-        k_in = len(self.inner)
-        edge = self.edge
-        row = self.view[:256] if edge >= 0 else self.tail[-edge:256 - edge]
-        for i, low in enumerate(self.inner):
-            yield x[:self.q ** (k_in - 1 - i)].translate(self.sums[low]).translate(row)
+            [(vectors[m], m) for m in range(len(vectors) - e, -1, -e)])
+        row, q = self.tbl[:256].ljust(256, b"\0"), self.p**e
+        size = len(x) // q
+        while size:
+            yield x[size:2 * size].translate(row)
+            size //= q
 
     def coset(self, word):
         """Ranks of word + span, in q^dim(outer) batches."""
-        return self._batches([(self._chunks(word), len(self.vectors))], self.x)
+        return self._batches([(self._chunks(word), len(self.vectors))])
 
-    def _batches(self, walks, x):
+    def _batches(self, walks):
         """For each (start, m) of walks, the ranks of y + C_in, one batch per
         y in start + span_F_p(vectors[:m]), in p-ary Gray order."""
-        sums, steps, p = self.sums, self.steps, self.p
-        width, view, edge, tail = self.width, self.view, self.edge, self.tail
+        sums, steps, p, x = self.sums, self.steps, self.p, self.x
+        width, tbl = self.width, self.tbl
         for (low, c1, c2), m in walks:
             for s in range(p**m):
                 if s:
@@ -929,8 +898,9 @@ class _RowWalk:
                     s0, s1, s2 = steps[r]
                     low, c1, c2 = s0[low], s1[c1], s2[c2]
                 at = width * (c1 + width * c2)
-                row = (view[at:at + 256] if at <= edge
-                       else tail[at - edge:at - edge + 256])
+                row = tbl[at:at + 256]
+                if len(row) < 256:
+                    row = row.ljust(256, b"\0")
                 yield x.translate(sums[low]).translate(row)
 
 

@@ -460,6 +460,20 @@ class TestRankTables:
         with pytest.raises(ArithmeticError, match="skew rank 1"):
             _build_rank_table(SchemeParams(3, 4), make_field(3))
 
+    def test_field_of_another_q_is_refused(self, monkeypatch):
+        # a caller's mistake, not the census guard's ArithmeticError (an
+        # internal fault to the CLI), and refused before any build
+        import skewrank.gfcodes as g
+
+        monkeypatch.setattr(g, "_RANK_TABLES", {})
+        for q, t, other in ((3, 4, 2), (5, 4, 4)):
+            p, f = SchemeParams(q, t), make_field(other)
+            with pytest.raises(ValueError, match="disagree on q"):
+                rank_table(p, f)
+            with pytest.raises(ValueError, match="disagree on q"):
+                rank_census(p, f)
+        assert g._RANK_TABLES == {}
+
 
 def _dot(f, xs, ys, t):
     acc = 0
@@ -939,6 +953,14 @@ class TestLinearCode:
         with pytest.raises(ValueError, match="disagree on q"):
             LinearCode(p, make_field(5), ())
 
+    def test_rejects_row_tuples(self):
+        # a coordinate row used to give a bare AttributeError on .params
+        p, f = SchemeParams(3, 4), make_field(3)
+        row = (1, 0, 0, 0, 0, 0)
+        with pytest.raises(TypeError, match="entry 1 .*LinearCode.from_rows"):
+            LinearCode(p, f, (SkewMat(p, f, row), row))
+        assert LinearCode.from_rows(p, f, [row]).basis_rows() == [row]
+
     def test_from_spanning_reduces(self):
         p = SchemeParams(3, 4)
         f = make_field(3)
@@ -1051,6 +1073,26 @@ class TestEnumerationPaths:
     # C_in spanned by more rows than the N - c high coordinates
     ELIMINATING = {(2, 5), (3, 5), (5, 4), (11, 3)}
 
+    @pytest.mark.parametrize(
+        "q,modulus", [(q, None) for q in SUPPORTED_Q] + [(8, (1, 0, 1, 1))])
+    def test_chunk_sums_add_digit_by_digit(self, q, modulus):
+        # every supported q, and GF(8) under x^3 + x^2 + 1: entry u < q^c
+        # of table a is u + a digit by digit in GF(q); entries past q^c are
+        # padding the walks never read
+        import skewrank.gfcodes as g
+
+        f = make_field(q, modulus)
+        c, width, sums = g._chunk_sums(f)
+        assert width == q**c <= 256 < q ** (c + 1)
+        assert len(sums) == width and {len(s) for s in sums} == {256}
+        digits = [[u // q**i % q for i in range(c)] for u in range(width)]
+        for a, table in enumerate(sums):
+            want = bytes(
+                sum(f.add(x, y) * q**i
+                    for i, (x, y) in enumerate(zip(du, digits[a])))
+                for du in digits)
+            assert table[:width] == want, a
+
     @pytest.mark.parametrize("q,t", sorted(ROW_WALK_SPACES))
     def test_row_walk_matches_product_oracle(self, q, t):
         # every built-in q and (11, 3), tables of one to three chunks, the
@@ -1070,9 +1112,9 @@ class TestEnumerationPaths:
         codes = [zero_code(p, f), low]
         if ncoords > c:
             high = LinearCode.from_rows(p, f, unit[c:][-3:])
-            assert g._RowWalk(p, f, tbl, high.basis_rows()).inner == []
+            assert len(g._RowWalk(p, f, tbl, high.basis_rows()).x) == 1
             codes.append(high)
-        assert len(g._RowWalk(p, f, tbl, low.basis_rows()).inner) == low.k
+        assert len(g._RowWalk(p, f, tbl, low.basis_rows()).x) == q**low.k
         codes += [dense_code(p, f, k, rng) for k in range(1, ncoords)
                   if q**k <= 1000]
         if q ** (ncoords // 2 + 1) <= 1000:
@@ -1087,10 +1129,10 @@ class TestEnumerationPaths:
             # the largest C_in
             outside = sum(any(r[c:]) for r in code.basis_rows())
             if outside > ncoords - c and q**outside > 64:
-                assert len(walk.inner) == most
+                assert len(walk.x) == q**most
                 eliminated.add(code.k)
             else:
-                assert len(walk.inner) <= most
+                assert len(walk.x) <= q**most
             cand = random_nonzero(ncoords, q, rng)
             coset = b"".join(walk.coset(cand))
             assert rank_counts(p, coset) == product_oracle(code, cand)

@@ -431,8 +431,8 @@ class TestFindMsrd:
             real = gfcodes._RowWalk.coset
 
             def counted(walk, cand):
-                k = len(walk.vectors) // walk.e + len(walk.inner)
-                walks.append([walk.q**k, 0])
+                # q^dim(outer) = p^len(vectors) and q^dim(C_in) = len(x)
+                walks.append([walk.p ** len(walk.vectors) * len(walk.x), 0])
                 for batch in real(walk, cand):
                     walks[-1][1] += len(batch)
                     yield batch

@@ -117,16 +117,23 @@ def test_no_true_division_of_int_valued_calls():
     assert not found, f"float division of an int-valued call: {found}"
 
 
+def _names(node, name: str) -> bool:
+    return (isinstance(node, ast.Name) and node.id == name
+            or isinstance(node, ast.Attribute) and node.attr == name)
+
+
 def _table_readers(tree) -> list[str]:
-    """Functions other than rank_table that name _RANK_TABLES."""
+    """Functions other than rank_table that name _RANK_TABLES or call
+    _rank_table_key."""
     return [
         fn.name
         for fn in ast.walk(tree)
         if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
         and fn.name != "rank_table"
         and any(
-            isinstance(node, ast.Name) and node.id == "_RANK_TABLES"
-            or isinstance(node, ast.Attribute) and node.attr == "_RANK_TABLES"
+            _names(node, "_RANK_TABLES")
+            or isinstance(node, ast.Call)
+            and _names(node.func, "_rank_table_key")
             for node in ast.walk(fn)
         )
     ]
@@ -134,18 +141,24 @@ def _table_readers(tree) -> list[str]:
 
 def test_rank_tables_read_only_by_rank_table():
     # the cap in rank_table is the one rule for when a space is tabulated;
-    # a second reader of the cache would be a second rule
+    # a second reader of the cache would be a second rule, and a second
+    # cache keyed per table would be kept beside it
     for bad in ("def f(key):\n    return key in _RANK_TABLES",
-                "def g():\n    gfcodes._RANK_TABLES.clear()"):
+                "def g():\n    gfcodes._RANK_TABLES.clear()",
+                "def view(p, f):\n"
+                "    return _VIEWS.get(_rank_table_key(p, f))"):
         assert _table_readers(ast.parse(bad)), bad
     for good in ("def rank_table(key):\n    return _RANK_TABLES.get(key)",
+                 "def rank_table(p, f):\n"
+                 "    return _RANK_TABLES.get(_rank_table_key(p, f))",
+                 "def _rank_table_key(p, f):\n    return (p.t, f.table_key())",
                  "_RANK_TABLES = {}"):
         assert not _table_readers(ast.parse(good)), good
     found = []
     for path in sorted(SRC.rglob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
         found += [f"{path.name}:{name}" for name in _table_readers(tree)]
-    assert not found, f"_RANK_TABLES read outside rank_table: {found}"
+    assert not found, f"_RANK_TABLES or its key outside rank_table: {found}"
 
 
 _CACHES = {"cache", "lru_cache"}
