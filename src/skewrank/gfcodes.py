@@ -112,8 +112,6 @@ class FieldSpec:
     def _spot_check(self) -> None:
         q = self.q
         for a in range(1, q):
-            if self._mul[a][self._inv[a]] != 1:
-                raise ArithmeticError(f"no inverse for {a} in GF({q})")
             if self._add[a][self._neg[a]] != 0:
                 raise ArithmeticError(f"no negative for {a} in GF({q})")
         if any(self._mul[1][b] != b for b in range(q)):
@@ -645,8 +643,6 @@ def dual(code: LinearCode) -> LinearCode:
     """
     params, field = code.params, code.field
     ncoords = params.num_coords
-    if code.k == 0:
-        return full_space_code(params, field)
     red, pivots = _rref([list(r) for r in code.basis_rows()], field)
     free = [c for c in range(ncoords) if c not in pivots]
     neg = field._neg

@@ -68,15 +68,15 @@ def _transform_basis(q: int, n: int, i: int) -> HPoly:
     return skew_q_product(nu_power(q, i), mu_power(q, n - i))
 
 
-# how many schemes' evaluated rows the functional route keeps, least
-# recently used first out
-_FUNCTIONAL_SCHEMES = 32
+# how many evaluated rows the functional route keeps, least recently used
+# first out
+_FUNCTIONAL_ROWS = 1024
 
 
-@lru_cache(maxsize=_FUNCTIONAL_SCHEMES)
-def _functional_rows(params: SchemeParams) -> dict[int, tuple[int, ...]]:
-    """Row i is _transform_basis(q, n, i) read at lambda = m; filled lazily."""
-    return {}
+@lru_cache(maxsize=_FUNCTIONAL_ROWS)
+def _functional_row(q: int, n: int, m: int, i: int) -> tuple[int, ...]:
+    """Row i: the ints _transform_basis(q, n, i) takes at lambda = m."""
+    return tuple(b.eval_lambda(m) for b in _transform_basis(q, n, i).coeffs)
 
 
 def transform_functional(w: WeightDist | list[int], code_size: int,
@@ -87,25 +87,16 @@ def transform_functional(w: WeightDist | list[int], code_size: int,
     lambda = m, and divides by the code size.  Must agree exactly with
     transform_matrix; the two are computed independently.
 
-    Row i, the ints nu^[i] * mu^[n-i] takes at lambda = m, is built the
-    first time a distribution with c_i != 0 reaches this scheme and is kept
-    with the scheme's other rows; the lambda-ring products are not kept.
-    So t = 2n and t = 2n + 1, whose rows come from the same products, each
-    build those products on their first call.
+    Row i is built and cached on its own the first time some c_i != 0 needs
+    it; the lambda-ring products are not kept.
     """
     counts = _as_counts(w, code_size, params)
     q, n, m = params.q, params.n, params.m
-    rows = _functional_rows(params)
     raw = [0] * (n + 1)
     for i, c in enumerate(counts):
-        if c == 0:
-            continue
-        row = rows.get(i)
-        if row is None:
-            basis = _transform_basis(q, n, i)
-            row = rows[i] = tuple(b.eval_lambda(m) for b in basis.coeffs)
-        for k, val in enumerate(row):
-            raw[k] += c * val
+        if c:
+            for k, val in enumerate(_functional_row(q, n, m, i)):
+                raw[k] += c * val
     return _finalize(raw, code_size, params)
 
 

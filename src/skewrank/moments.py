@@ -225,9 +225,12 @@ def epsilon_closed(q: int, lam_big: int, phi: int, i: int) -> Fraction:
     Raises ArithmeticError unless sum_l [i,l][lam_big-i, phi-l]
     q^{2l(lam_big-phi)} (-1)^l q^{2 sigma_l} gamma(2(phi-l), i-l) equals
     (-1)^i q^{2 sigma_i} [lam_big-i, lam_big-phi]; returns the value.
+    The lemma needs lam_big >= i; below it the closed form does not apply.
     """
     if phi < 0 or i < 0:
         raise ValueError("phi and i must be >= 0")
+    if lam_big < i:
+        raise ValueError(f"lam_big={lam_big} must be >= i={i}")
     total = Fraction(0)
     for l in range(i + 1):
         g2 = _gauss0(q, lam_big - i, phi - l)

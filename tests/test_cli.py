@@ -123,6 +123,13 @@ class TestSubcommands:
         assert data["matrix"][0] == ["1", "260", "468"]
         assert data["matrix"][2] == ["1", "-10", "9"]
 
+    def test_krawtchouk_text_prints_one_line_per_row(self, capsys):
+        code, out = run_cli(capsys, "krawtchouk", "--q", "3", "--t", "4",
+                            "--format", "text")
+        assert code == 0
+        assert out == ("q: 3\nt: 4\nn: 2\nmatrix:\n"
+                       "  1 260 468\n  1 17 -18\n  1 -10 9\n")
+
     def test_omega(self, capsys):
         code, out = run_cli(capsys, "omega", "--q", "3", "--t", "4")
         assert code == 0

@@ -15,6 +15,7 @@ from skewrank.gfcodes import (
     FieldSpec,
     LinearCode,
     SkewMat,
+    WeightDist,
     canonical_decompose,
     diameter,
     dual,
@@ -211,6 +212,12 @@ class TestField:
         assert f.mul(8, 2) == 3
         with pytest.raises(ValueError, match="reducible"):
             make_field(4, modulus=(1, 0, 1))  # x^2 + 1 = (x+1)^2 over F_2
+
+    def test_field_spec_modulus(self):
+        with pytest.raises(ValueError, match="needs an irreducible modulus"):
+            FieldSpec(4)
+        # the leading 1 of a monic modulus may be left implicit
+        assert tables(FieldSpec(4, (1, 1))) == tables(make_field(4))
 
     @pytest.mark.parametrize("q", sorted(SUPPORTED_DIGESTS))
     def test_supported_tables_pinned(self, q):
@@ -588,6 +595,13 @@ class TestDual:
         assert dual(full_space_code(p, f)).k == 0
         assert dual(zero_code(p, f)).k == p.num_coords
 
+    @pytest.mark.parametrize("q", SUPPORTED_Q)
+    def test_dual_of_zero_code_is_the_unit_basis(self, q):
+        p = SchemeParams(q, 4)
+        f = make_field(q)
+        assert (dual(zero_code(p, f)).basis_rows()
+                == full_space_code(p, f).basis_rows())
+
     def test_example_dual(self, example_code):
         d = dual(example_code)
         assert d.k == 2
@@ -732,6 +746,24 @@ class TestWeightDistribution:
     def test_budget_guard(self, example_code):
         with pytest.raises(EnumerationBudgetError):
             weight_distribution(example_code, budget=80)
+
+    def test_census_above_the_table_cap(self):
+        with pytest.raises(EnumerationBudgetError, match="rank-table cap"):
+            rank_census(SchemeParams(2, 8))
+
+    @pytest.mark.parametrize("counts, message", [
+        ((1, 0), "need 3 counts, got 2"),
+        ((1, -1, 0), "negative count"),
+    ])
+    def test_weight_dist_refuses(self, counts, message):
+        with pytest.raises(ValueError, match=message):
+            WeightDist(SchemeParams(3, 4), counts)
+
+    @pytest.mark.parametrize("k", (-1, 7))
+    def test_random_code_dimension_out_of_range(self, k):
+        with pytest.raises(ValueError, match="out of range 0..6"):
+            random_code(SchemeParams(3, 4), make_field(3), k,
+                        random.Random(0))
 
     def test_census_matches_xi(self):
         for q, t in ACCEPTANCE_PAIRS:

@@ -201,6 +201,8 @@ class TestGeneralizedForm:
 
     def test_domain_errors(self):
         p = SchemeParams(3, 4)
+        with pytest.raises(ValueError, match="must have length 3"):
+            p_matrix(p).transform([1, 0])
         with pytest.raises(ValueError):
             skew_p(p, 3, 0)
         with pytest.raises(ValueError):

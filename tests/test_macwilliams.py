@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from conftest import eval_fraction_sum
 from skewrank import macwilliams
 from skewrank.gfcodes import (
+    WeightDist,
     dual,
     make_field,
     random_code,
@@ -17,7 +18,7 @@ from skewrank.gfcodes import (
     zero_code,
 )
 from skewrank.macwilliams import (
-    _functional_rows,
+    _functional_row,
     _transform_basis,
     transform_functional,
     transform_matrix,
@@ -101,6 +102,12 @@ class TestTransforms:
         with pytest.raises(ValueError, match="not a nonnegative integer"):
             transform_matrix([1, 1, 0], 2, P34)
 
+    @pytest.mark.parametrize("transform", [transform_matrix, transform_functional])
+    def test_distribution_of_other_params_rejected(self, transform):
+        w = WeightDist(SchemeParams(2, 4), (1, 0, 0))
+        with pytest.raises(ValueError, match="distribution and params disagree"):
+            transform(w, 1, P34)
+
     def test_wrong_length_rejected(self):
         with pytest.raises(ValueError, match="length"):
             transform_matrix([1, 0], 1, P34)
@@ -174,7 +181,7 @@ def test_cold_functional_route_at_t40():
     # and the MSRD dual of a d = 5 MSRD code, the (n - d + 2)-MSRD one
     p, d = SchemeParams(2, 40), 5
     w = msrd_distribution(p, d)
-    _functional_rows.cache_clear()
+    _functional_row.cache_clear()
     fun = transform_functional(w, w.size, p)
     assert fun == transform_matrix(w, w.size, p)
     assert fun == msrd_distribution(p, p.n - d + 2)
@@ -186,26 +193,31 @@ def test_cached_rows_are_the_ring_products_at_m(q):
     # kept row is its lambda-ring product, built afresh here, read at m
     for t in range(2, 13):
         p = SchemeParams(q, t)
-        _functional_rows.cache_clear()
+        _functional_row.cache_clear()
         transform_functional([1] + [0] * p.n, 1, p)
-        assert list(_functional_rows(p)) == [0]
+        assert _functional_row.cache_info().currsize == 1
         whole = q**p.num_coords
         transform_functional([xi(p, s) for s in range(p.n + 1)], whole, p)
-        rows = _functional_rows(p)
-        assert sorted(rows) == list(range(p.n + 1))
-        for i, row in rows.items():
+        assert _functional_row.cache_info().currsize == p.n + 1
+        for i in range(p.n + 1):
+            row = _functional_row(q, p.n, p.m, i)
             basis = _transform_basis(q, p.n, i)
             assert type(row) is tuple
             assert row == tuple(c.eval_lambda(p.m) for c in basis.coeffs)
+        # every row read back was a cached one
+        assert _functional_row.cache_info().currsize == p.n + 1
 
 
 def test_row_cache_holds_at_most_its_bound():
-    bound = macwilliams._FUNCTIONAL_SCHEMES
-    schemes = [SchemeParams(q, t) for t in range(2, 40) for q in (2, 3)]
-    assert len(schemes) > bound
+    # the full-space distribution uses every row of its scheme
+    bound = macwilliams._FUNCTIONAL_ROWS
+    primes = [q for q in range(2, 98) if all(q % d for d in range(2, q))]
+    schemes = [SchemeParams(q, t) for t in range(2, 14) for q in primes]
+    assert sum(p.n + 1 for p in schemes) > bound
     for p in schemes:
-        transform_functional([1] + [0] * p.n, 1, p)
-    assert _functional_rows.cache_info().currsize == bound
+        transform_functional([xi(p, s) for s in range(p.n + 1)],
+                             p.q**p.num_coords, p)
+    assert _functional_row.cache_info().currsize == bound
 
 
 def p_transform_pair(counts, size, p):

@@ -164,6 +164,13 @@ class TestClosedFormLemmas:
         with pytest.raises(ValueError):
             epsilon_closed(2, 4, 1, -2)
 
+    @pytest.mark.parametrize("lam_big, phi, i", [(1, 1, 2), (0, 2, 1)])
+    def test_epsilon_below_its_lemma(self, lam_big, phi, i):
+        # the closed form needs lam_big >= i; below it the sum and the
+        # closed form differ, which is bad input, not a failed identity
+        with pytest.raises(ValueError, match=f"lam_big={lam_big} must be >= i={i}"):
+            epsilon_closed(2, lam_big, phi, i)
+
 
 class TestInversion:
     def test_round_trip_random(self):
@@ -341,6 +348,14 @@ class TestFindMsrd:
     def test_d_out_of_range(self):
         with pytest.raises(ValueError):
             find_msrd(P24, 3)
+
+    def test_target_above_the_enumeration_budget(self):
+        # (2,8), d = 1 targets the whole space, 2^28 words
+        with pytest.raises(gfcodes.EnumerationBudgetError, match="q\\^28"):
+            find_msrd(SchemeParams(2, 8), 1)
+
+    def test_zero_code_is_msrd(self):
+        assert is_msrd(gfcodes.zero_code(P34, make_field(3))) is True
 
     # (q, t, d, seed, budget) -> digest of basis_rows(), or None when the
     # budget runs out; recorded from the search that kept the whole span as

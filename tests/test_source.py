@@ -164,13 +164,9 @@ def test_rank_tables_read_only_by_rank_table():
 _CACHES = {"cache", "lru_cache"}
 
 
-def _unbounded_caches(tree) -> list[int]:
-    """Lines naming functools.cache, or lru_cache with no finite int bound.
-
-    A bound is an int literal, or a module-level name assigned one, given
-    as maxsize or as the first argument.
-    """
-    names, modules, consts = {}, set(), {}
+def _cache_kind(tree):
+    """A function giving the functools cache a node names, or None."""
+    names, modules = {}, set()
     for node in tree.body:
         if isinstance(node, ast.ImportFrom) and node.module == "functools":
             names |= {a.asname or a.name: a.name for a in node.names
@@ -178,11 +174,6 @@ def _unbounded_caches(tree) -> list[int]:
         elif isinstance(node, ast.Import):
             modules |= {a.asname or a.name for a in node.names
                         if a.name == "functools"}
-        elif (isinstance(node, ast.Assign)
-              and isinstance(node.value, ast.Constant)
-              and type(node.value.value) is int):
-            consts |= {t.id: node.value.value for t in node.targets
-                       if isinstance(t, ast.Name)}
 
     def kind(node):
         if isinstance(node, ast.Name):
@@ -192,6 +183,24 @@ def _unbounded_caches(tree) -> list[int]:
                 and node.value.id in modules):
             return node.attr
         return None
+
+    return kind
+
+
+def _unbounded_caches(tree) -> list[int]:
+    """Lines naming functools.cache, or lru_cache with no finite int bound.
+
+    A bound is an int literal, or a module-level name assigned one, given
+    as maxsize or as the first argument.
+    """
+    kind = _cache_kind(tree)
+    consts = {}
+    for node in tree.body:
+        if (isinstance(node, ast.Assign)
+                and isinstance(node.value, ast.Constant)
+                and type(node.value.value) is int):
+            consts |= {t.id: node.value.value for t in node.targets
+                       if isinstance(t, ast.Name)}
 
     def bounded(call) -> bool:
         size = [kw.value for kw in call.keywords if kw.arg == "maxsize"]
@@ -208,6 +217,70 @@ def _unbounded_caches(tree) -> list[int]:
     }
     return [node.lineno for node in ast.walk(tree)
             if kind(node) and id(node) not in ok]
+
+
+_MUTABLE = {"dict", "list", "set", "bytearray"}
+
+
+def _mutable(annotation) -> bool:
+    """Is a return annotation missing, a mutable container (bare or
+    subscripted), or a union with one?"""
+    if annotation is None:
+        return True
+    if isinstance(annotation, ast.BinOp):
+        return _mutable(annotation.left) or _mutable(annotation.right)
+    if isinstance(annotation, ast.Subscript):
+        annotation = annotation.value
+    return isinstance(annotation, ast.Name) and annotation.id in _MUTABLE
+
+
+def _filled_caches(tree) -> list[str]:
+    """Functions under a functools cache whose return annotation is
+    missing or a mutable container."""
+    kind = _cache_kind(tree)
+    return [
+        fn.name for fn in ast.walk(tree)
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and any(kind(d.func if isinstance(d, ast.Call) else d)
+                for d in fn.decorator_list)
+        and _mutable(fn.returns)
+    ]
+
+
+def test_no_cache_hands_out_a_value_its_callers_fill():
+    # a cache hands the same object to every caller, so what it keeps must
+    # be immutable: a container its callers fill is a second cache, with
+    # no bound of its own, behind the bounded one
+    before = ("from functools import lru_cache\n"
+              "@lru_cache(maxsize=_FUNCTIONAL_SCHEMES)\n"
+              "def _functional_rows(params: SchemeParams)"
+              " -> dict[int, tuple[int, ...]]:\n"
+              "    return {}")
+    for bad in (before,
+                "from functools import lru_cache\n@lru_cache(8)\n"
+                "def f(x) -> dict[int, tuple]: pass",
+                "from functools import lru_cache\n@lru_cache(8)\n"
+                "def f(x) -> list: pass",
+                "import functools\n@functools.lru_cache(maxsize=8)\n"
+                "def f(x): pass",
+                "from functools import cache as memo\n@memo\n"
+                "def f(x) -> set[int] | None: pass",
+                "from functools import lru_cache\n@lru_cache(8)\n"
+                "def f(x) -> bytearray: pass"):
+        assert _filled_caches(ast.parse(bad)), bad
+    for good in ("from functools import lru_cache\n@lru_cache(8)\n"
+                 "def f(q, n, m, i) -> tuple[int, ...]: pass",
+                 "from functools import lru_cache\n@lru_cache(maxsize=8)\n"
+                 "def p_matrix(params) -> KrawtchoukMatrix: pass",
+                 "def f(x) -> dict: pass",
+                 "from functools import partial\n@partial\n"
+                 "def f(x) -> list: pass"):
+        assert not _filled_caches(ast.parse(good)), good
+    found = []
+    for path in sorted(SRC.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        found += [f"{path.name}:{name}" for name in _filled_caches(tree)]
+    assert not found, f"caches handing out mutable values: {found}"
 
 
 def test_every_cache_is_bounded():
