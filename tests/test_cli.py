@@ -445,6 +445,21 @@ class TestScripts:
         assert proc.stdout.startswith("q=2 t=4: 2/2 codes verified")
         assert proc.stdout.splitlines()[-1] == "all codes verified"
 
+    def test_random_code_sweep_skips_an_over_budget_code(self):
+        # seed 31 draws k = 1 at (2,8), whose dual of 2^27 words is over
+        # the 2^26 budget: reported and skipped, not a failure
+        proc = run_process(
+            "scripts/random_code_sweep.py", "--pairs", "2,8", "2,4",
+            "--count", "1", "--seed", "31"
+        )
+        assert proc.returncode == 0, proc.stderr
+        lines = proc.stdout.splitlines()
+        assert lines[0] == (
+            "  skipped q=2 t=8 k=1 dual k=27: over the enumeration budget")
+        assert lines[1].startswith("q=2 t=8: 0/1 codes verified, 1 skipped (")
+        assert lines[2].startswith("q=2 t=4: 1/1 codes verified (")
+        assert lines[3:] == ["all checked codes verified, 1 skipped"]
+
     def test_msrd_census(self):
         proc = run_process("scripts/msrd_census.py", "--pairs", "2,4")
         assert proc.returncode == 0, proc.stderr

@@ -458,6 +458,20 @@ class TestRankTables:
                 xi(p, s) for s in range(p.n + 1)
             ]
 
+    @pytest.mark.parametrize("q,t", sorted(RANK_TABLE_DIGESTS))
+    def test_one_word_per_block_matches_skew_rank(self, q, t):
+        # the census cannot see a wrong kernel of the right dimension, and
+        # digests pin only the tables they list: one random b of each block
+        # [[0, b^T], [-b, A]], ranked by skew_rank (_rref, no pair pivots),
+        # checks any table a block at a time
+        p, f = SchemeParams(q, t), make_field(q)
+        table, rng = rank_table(p, f), random.Random(q * 100 + t)
+        width = q ** (t - 1)
+        for at in range(0, len(table), width):
+            index = at + rng.randrange(width)
+            coords = tuple(index // q**i % q for i in range(p.num_coords))
+            assert table[index] == skew_rank(SkewMat(p, f, coords)), index
+
     def test_census_guard_raises(self, monkeypatch):
         import skewrank.gfcodes as g
 
@@ -1050,7 +1064,10 @@ class TestEnumerationPaths:
         rng = random.Random(57)
         cases = [(q, 4) for q in (2, 3, 4, 5, 7, 8, 9)] + [(2, 5), (3, 5)]
         if mode == "no-table":
-            cases += [(2, 6), (2, 7), (2, 8)]  # q=2 matrices of 36-64 bits
+            # q = 2 matrices of 36-64 bits: weight_distribution ranks them
+            # in lanes, checked against product_oracle, and _span_ranks
+            # walks them in _alt_rank's one-int form, checked directly
+            cases += [(2, 6), (2, 7), (2, 8)]
         for q, t in cases:
             p, f = SchemeParams(q, t), make_field(q)
             tbl = rank_table(p, f)
@@ -1068,8 +1085,9 @@ class TestEnumerationPaths:
                     walk = g._RowWalk(p, f, tbl, rows)
                     assert_batches_are_cosets(code, walk)
                 else:
-                    # one word is ranked per line through zero
-                    assert calls == (q**k - 1) // (q - 1)
+                    # q = 2 ranks every word in lanes, none by _alt_rank;
+                    # odd q ranks one word per line through zero
+                    assert calls == (0 if q == 2 else (q**k - 1) // (q - 1))
                     # coset i is rows[i] + span(rows[i+1:]), in order of i
                     ranks = list(g._span_ranks(p, f, rows))
                     assert len(ranks) == (q**k - 1) // (q - 1)
@@ -1217,6 +1235,73 @@ class TestEnumerationPaths:
         monkeypatch.setattr(g, "_RANK_TABLE_CAP", 0)
         monkeypatch.setattr(g, "_RANK_TABLES", {})
         assert weight_distribution(code).counts == want
+
+
+@pytest.fixture
+def no_tables(monkeypatch):
+    """Every space untabled, and q = 2 never ranked a word at a time."""
+    import skewrank.gfcodes as g
+
+    monkeypatch.setattr(g, "_RANK_TABLE_CAP", 0)
+    monkeypatch.setattr(g, "_RANK_TABLES", {})
+    monkeypatch.setattr(g, "_alt_rank", lambda *args: pytest.fail("_alt_rank"))
+    return g
+
+
+def counted_blocks(monkeypatch, g):
+    """Wrap _lane_pivots; returns the list of (entries, ones) of each block."""
+    blocks, real = [], g._lane_pivots
+
+    def record(entries, t, ones):
+        blocks.append((list(entries), ones))
+        return real(entries, t, ones)
+
+    monkeypatch.setattr(g, "_lane_pivots", record)
+    return blocks
+
+
+class TestLanes:
+    def test_lanes_match_product_oracle(self, monkeypatch, no_tables):
+        # blocks of 4 words, so that a code of k > 2 walks 2^(k-2) blocks
+        # in Gray order; t = 2..9, and at t = 2, 3 and 4 k up to the full
+        # space
+        g = no_tables
+        monkeypatch.setattr(g, "_LANE_BITS", 2)
+        blocks = counted_blocks(monkeypatch, g)
+        f, rng = make_field(2), random.Random(21)
+        for t in range(2, 10):
+            p = SchemeParams(2, t)
+            for k in range(min(p.num_coords, 9) + 1):
+                code = dense_code(p, f, k, rng)
+                blocks.clear()
+                assert weight_distribution(code).counts == product_oracle(code)
+                assert len(blocks) == 2 ** max(k - 2, 0), (t, k)
+                lanes = 2 ** min(k, 2)
+                assert {ones for _, ones in blocks} == {(1 << lanes) - 1}
+
+    def test_verify_code_on_lanes(self, monkeypatch, no_tables):
+        # (2,7) at k = 16 and its dual at k = 5, both sides in lanes
+        from skewrank.macwilliams import verify_code
+
+        blocks = counted_blocks(monkeypatch, no_tables)
+        p, f = SchemeParams(2, 7), make_field(2)
+        rep = verify_code(random_code(p, f, 16, random.Random(16)))
+        assert (rep.k, rep.dual_k) == (16, 5)
+        assert rep.verdict
+        assert rep.dist.size == 1 << 16 and rep.dual_dist_enum.size == 1 << 5
+        assert len(blocks) == 4 + 1
+
+    def test_block_ints_are_no_wider_than_the_block(self, monkeypatch,
+                                                    no_tables):
+        # at _LANE_BITS = 14 a k = 18 code is 16 blocks of 2^14 words
+        blocks = counted_blocks(monkeypatch, no_tables)
+        p, f = SchemeParams(2, 7), make_field(2)
+        code = random_code(p, f, 18, random.Random(18))
+        assert weight_distribution(code).size == 1 << 18
+        assert len(blocks) == 16
+        for entries, ones in blocks:
+            assert ones == (1 << (1 << 14)) - 1
+            assert max(x.bit_length() for x in entries) <= 1 << 14
 
 
 class TestSkewMatArithmetic:
