@@ -252,30 +252,15 @@ def skew_rank(a: SkewMat) -> int:
     return rank // 2
 
 
-def _alt_rank(mat: int | list[list[int]], t: int, field: FieldSpec) -> int:
-    """Skew rank of an alternating t x t matrix by symplectic pair pivots.
-
-    At q = 2, mat is one t*t-bit int whose bit t*i + j is entry (i, j).  A
-    is symmetric there, so column i is row i spread to bits t*k + i, and
-    the step of _pair_pivots XORs both rank-one updates into the whole
-    matrix at once.  At any other q, mat is a list of t rows, each a list of
-    field elements, and _pair_pivots counts the pairs.  Both stop at pair
-    t // 2, after which no further pair fits.  mat is not mutated.
+def _alt_rank(mat: list[list[int]], t: int, field: FieldSpec) -> int:
+    """Skew rank of an alternating t x t matrix, given as a list of t rows
+    of field elements, by symplectic pair pivots: the number of pairs
+    _pair_pivots finds, stopping at pair t // 2, after which no further
+    pair fits.  It ranks any q, but above the cap the package calls it only
+    at q > 2, through _span_ranks; q = 2 goes to _lane_blocks.  mat is not
+    mutated.
     """
-    s = 0
-    half = t // 2
-    if field.q == 2:
-        row = (1 << t) - 1
-        col = ((1 << t * t) - 1) // row  # bit t*k for every k
-        while mat:
-            s += 1
-            if s == half:
-                break
-            i, j = divmod((mat & -mat).bit_length() - 1, t)
-            mat ^= ((mat >> t * i & row) * (mat >> j & col)
-                    ^ (mat >> t * j & row) * (mat >> i & col))
-        return s
-    return len(_pair_pivots(list(mat), t, field, half))
+    return len(_pair_pivots(list(mat), t, field, t // 2))
 
 
 def _pair_pivots(rows: list[list[int]], t: int, field: FieldSpec,
@@ -316,14 +301,6 @@ def _pair_pivots(rows: list[list[int]], t: int, field: FieldSpec,
                 rows[k] = [add[add[x][a[y]]][b[z]]
                            for x, y, z in zip(rk, rj, ri)]
     return pivots
-
-
-def _alt_form(t: int, field: FieldSpec, coords) -> int | list[list[int]]:
-    """Upper-triangle coords as the matrix in _alt_rank's form."""
-    if field.q == 2:
-        return sum(1 << t * i + j | 1 << t * j + i
-                   for (i, j), v in zip(upper_positions(t), coords) if v)
-    return _alt_rows(t, field, coords)
 
 
 def _pair_off(afull: list[list[int]],
@@ -666,13 +643,14 @@ def weight_distribution(code: LinearCode,
     (the space fits under _RANK_TABLE_CAP, a memory cap; the table is built
     once per process) the words are read from it one table row at a time by
     _RowWalk, in batches of at most 256 ranks that are joined 64 at a time,
-    counted and dropped.  Above the cap, at q = 2, _lane_counts ranks all
+    counted and dropped.  Above the cap, at q = 2, _lane_blocks ranks all
     2^k words in bit-sliced blocks of up to 2^_LANE_BITS words, each block
-    one pass of the pair-pivot rule over ints of one bit a word; at any
-    other q each word is ranked by _alt_rank along _span_ranks.  Memory
-    beyond the table and the per-field sum tables of _chunk_sums is O(1) in
-    q^k: one group of batches, at most 16 KiB, is held, or one block of
-    t^2 ints of 2^_LANE_BITS bits (2 KiB each), or one word.
+    one pass of the pair-pivot rule over ints of one bit a word, and the
+    blocks' counts are summed; at any other q each word is ranked by
+    _alt_rank along _span_ranks.  Memory beyond the table and the per-field
+    sum tables of _chunk_sums is O(1) in q^k: one group of batches, at most
+    16 KiB, is held, or one block of t^2 ints of 2^_LANE_BITS bits (2 KiB
+    each), or one word.
     """
     params, field = code.params, code.field
     size = field.q**code.k
@@ -684,7 +662,10 @@ def weight_distribution(code: LinearCode,
     ranked = [0] * (n + 1)
     tbl = rank_table(params, field)
     if tbl is None and field.q == 2:
-        ranked = _lane_counts(params, code.basis_rows())
+        # a block's list stops at its top rank, so it is not zipped
+        for block in _lane_blocks(params, code.basis_rows()):
+            for r, c in enumerate(block):
+                ranked[r] += c
     elif tbl is None:
         for rank in _span_ranks(params, field, code.basis_rows()):
             ranked[rank] += 1
@@ -696,47 +677,48 @@ def weight_distribution(code: LinearCode,
     return WeightDist(params, (1, *(multiples * c for c in ranked[1:])))
 
 
-# _lane_counts ranks a q = 2 code in blocks of 2^_LANE_BITS words, so each
+# _lane_blocks ranks a q = 2 coset in blocks of 2^_LANE_BITS words, so each
 # entry's int is 2 KiB.  Measured on a 2-core host (Python 3.11, -O, one
 # random code each) with blocks of 2^12, 2^14, 2^16 and 2^18 words: (2,8)
 # k=22 72, 32, 24 and 102 ms; (2,7) k=20 12, 5.9, 8.7 and 88 ms
 _LANE_BITS = 14
 
 
-def _lane_counts(params: SchemeParams, rows) -> list[int]:
-    """Counts by skew rank of all 2^k words of span(rows) at q = 2, the zero
-    word included, ranked in blocks of 2^b words, b = min(k, _LANE_BITS).
+def _lane_blocks(params: SchemeParams, rows, start=()):
+    """Counts by skew rank of the 2^k words of start + span(rows) at q = 2,
+    one list per block of 2^b words, b = min(k, _LANE_BITS), each list as
+    long as the block's top rank + 1; start is a word, or () for zero.
 
     The words of a block are bit-sliced (Biham, FSE 1997): entry e of the
     upper triangle is one int whose bit w is entry e of word w, the word of
-    lane w.  The first block is span(rows[:b]): bit w of inner row r's lane
-    mask is bit r of w, and entry e is the XOR of the lane masks of the
-    inner rows that are 1 at e.  The other blocks are its cosets, walked
-    over the outer rows rows[b:] in Gray order: a step XORs all ones into
-    the entries where its row is 1.  _lane_pivots ranks each block.
+    lane w.  The first block is start + span(rows[:b]): entry e starts as
+    all ones where start is 1, else 0, and bit w of inner row r's lane mask
+    is bit r of w, XORed into the entries where row r is 1.  The other
+    blocks are its cosets, walked over the outer rows rows[b:] in Gray
+    order: a step XORs all ones into the entries where its row is 1.
+    _lane_pivots ranks each block as the caller asks for it, so a caller
+    that stops early ranks no further block: weight_distribution sums them
+    all, and find_msrd stops at the first with a rank below d.
     """
     k = len(rows)
     b = min(k, _LANE_BITS)
     ones = (1 << (1 << b)) - 1
-    entries = [0] * params.num_coords
+    entries = [ones * v for v in start] or [0] * params.num_coords
     for r, row in enumerate(rows[:b]):
         run = 1 << r  # lanes w alternate runs of 2^r with bit r clear and set
         mask = ones // ((1 << 2 * run) - 1) * (((1 << run) - 1) << run)
         entries = [x ^ mask if v else x for x, v in zip(entries, row)]
     supports = [[e for e, v in enumerate(row) if v] for row in rows[b:]]
-    counts = [0] * (params.n + 1)
     for s in range(1 << k - b):
         if s:
             for e in supports[(s & -s).bit_length() - 1]:
                 entries[e] ^= ones
-        for r, c in enumerate(_lane_pivots(entries, params.t, ones)):
-            counts[r] += c
-    return counts
+        yield _lane_pivots(entries, params.t, ones)
 
 
 def _lane_pivots(entries: list[int], t: int, ones: int) -> list[int]:
     """Counts by skew rank of the words of one block of lanes, the entries
-    bit-sliced as _lane_counts sets out and `ones` the block's all-lanes int.
+    bit-sliced as _lane_blocks sets out and `ones` the block's all-lanes int.
 
     _pair_pivots' step on every lane at once, with no branch per lane.  For
     row i, a lane takes its first j > i with entry (i, j) set: sel_j is the
@@ -785,10 +767,10 @@ def _lane_pivots(entries: list[int], t: int, ones: int) -> list[int]:
 
 def _span_ranks(params: SchemeParams, field: FieldSpec, rows):
     """Skew rank of rows[i] + w for every w in span(rows[i+1:]), i = 0..k-1,
-    each word ranked by _alt_rank: weight_distribution's enumeration of
-    spaces no table covers at q > 2 (q = 2 goes to _lane_counts), and, at
-    every q, find_msrd's coset check above the cap, which stops a walk at
-    its first word of too low a rank.
+    each word ranked by _alt_rank.  It serves spaces no table covers at
+    q > 2, where q = 2 goes to _lane_blocks: weight_distribution's
+    enumeration, and find_msrd's coset check, which stops a walk at its
+    first word of too low a rank.
 
     That is one nonzero word on each line through zero of span(rows), its
     projective points: (q^k - 1)/(q - 1) values, rows[0] + span(rows[1:])
@@ -802,25 +784,14 @@ def _span_ranks(params: SchemeParams, field: FieldSpec, rows):
     first: span(rows[i+1:]) is spanned by the first m = (k-1-i)e of them
     and rows[i] is vector number m, so the starts are m = len - e, ..., e, 0,
     the step data are built once per call, and each coset restarts the step
-    loop on a prefix.  The walk carries the matrix in _alt_rank's
-    form: one int at q = 2, t row lists otherwise.
+    loop on a prefix.  The walk carries the matrix as t row lists, which
+    a step updates at (i, j) and (j, i) on the vector's support; a coset
+    starts as the zero matrix stepped once.
     """
-    t, q, p = params.t, field.q, field.p
+    t, p = params.t, field.p
     add, neg = field._add, field._neg
     vectors = _fp_basis(rows, field)
     starts = range(len(vectors) - field.e, -1, -field.e)
-    if q == 2:
-        # the matrix is one int, and a step XORs in the vector's mask
-        masks = [_alt_form(t, field, v) for v in vectors]
-        for m in starts:
-            mat = masks[m]
-            yield _alt_rank(mat, t, field)
-            for s in range(1, 1 << m):
-                mat ^= masks[(s & -s).bit_length() - 1]
-                yield _alt_rank(mat, t, field)
-        return
-    # t row lists, which a step updates at (i, j) and (j, i) on the
-    # vector's support; a coset starts as the zero matrix stepped once
     mat = [[0] * t for _ in range(t)]
     steps = [
         [(mat[i], j, add[g], mat[j], i, add[neg[g]])

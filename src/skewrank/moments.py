@@ -22,6 +22,7 @@ from .gfcodes import (
     SchemeParams,
     WeightDist,
     _RowWalk,
+    _lane_blocks,
     _span_ranks,
     full_space_code,
     make_field,
@@ -324,9 +325,11 @@ def find_msrd(
     (a candidate already in the span meets the zero word).  In a tabled
     space it is read from the table by _RowWalk.coset, a batch of ranks at
     a time, from a walk over the basis set up again only when a candidate
-    joins, so that no elimination runs per candidate; above the cap it is
-    the first q^|basis| ranks of the projective walk _span_ranks of
-    [cand, *basis].
+    joins, so that no elimination runs per candidate.  Above the cap, at
+    q = 2, the coset is ranked by _lane_blocks in bit-sliced blocks, and
+    the check stops at the first block that holds a rank below d; at any
+    other q it is the first q^|basis| ranks of the projective walk
+    _span_ranks of [cand, *basis].
     Returns None once `budget` candidate samples are spent (existence is a
     property of the parameters, not of this search).
     """
@@ -355,7 +358,10 @@ def find_msrd(
             samples += 1
             if not any(cand):
                 continue
-            if walk is None:
+            if walk is None and q == 2:
+                rejected = any(any(block[:d])
+                               for block in _lane_blocks(params, basis, cand))
+            elif walk is None:
                 coset = islice(_span_ranks(params, field, [cand, *basis]),
                                q ** len(basis))
                 rejected = any(r < d for r in coset)

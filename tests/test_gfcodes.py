@@ -32,7 +32,7 @@ from skewrank.gfcodes import (
     weight_distribution,
     zero_code,
 )
-from skewrank.gfcodes import _alt_form, _alt_rank, _build_rank_table, _rref
+from skewrank.gfcodes import _alt_rank, _build_rank_table, _rref
 from skewrank.qcombinat import SchemeParams, factor_prime_power, xi
 
 
@@ -357,17 +357,6 @@ class TestSkewRank:
                 assert skew_rank(SkewMat(p, f, upper)) == skew_rank(m)
 
 
-def alt_rank_input(m):
-    """The matrix in _alt_rank's form: a t*t-bit int at q=2, else rows."""
-    t = m.params.t
-    if m.field.q != 2:
-        return m.full_matrix()
-    return sum(
-        1 << t * i + j | 1 << t * j + i
-        for (i, j), v in zip(upper_positions(t), m.upper) if v
-    )
-
-
 class TestAltRank:
     @pytest.mark.parametrize("q", (2, 3, 4, 5, 7, 8, 9))
     def test_matches_skew_rank(self, q):
@@ -390,11 +379,10 @@ class TestAltRank:
                 ]
             for upper in uppers:
                 m = SkewMat(p, f, upper)
-                mat = alt_rank_input(m)
+                mat = m.full_matrix()
                 want = skew_rank(m)
                 assert _alt_rank(mat, t, f) == want, (q, t, upper)
-                assert mat == alt_rank_input(m)  # the input is not mutated
-                assert _alt_form(t, f, upper) == mat
+                assert mat == m.full_matrix()  # the input is not mutated
             assert skew_rank(SkewMat(p, f, tuple(canonical))) == t // 2
 
     @pytest.mark.parametrize("q,t", [(2, 4), (2, 5), (3, 4), (4, 4), (5, 4)])
@@ -1064,9 +1052,10 @@ class TestEnumerationPaths:
         rng = random.Random(57)
         cases = [(q, 4) for q in (2, 3, 4, 5, 7, 8, 9)] + [(2, 5), (3, 5)]
         if mode == "no-table":
-            # q = 2 matrices of 36-64 bits: weight_distribution ranks them
-            # in lanes, checked against product_oracle, and _span_ranks
-            # walks them in _alt_rank's one-int form, checked directly
+            # q = 2 codes of t = 6..8: weight_distribution ranks them in
+            # lanes, checked against product_oracle; _span_ranks, which
+            # the package runs only at q > 2, still ranks any q, and its
+            # row-list walk is checked on them directly
             cases += [(2, 6), (2, 7), (2, 8)]
         for q, t in cases:
             p, f = SchemeParams(q, t), make_field(q)
@@ -1097,7 +1086,9 @@ class TestEnumerationPaths:
                         assert (rank_counts(p, coset)
                                 == product_oracle(tail, rows[i]))
                 # find_msrd's coset cand + span(rows), from a random nonzero
-                # word and from a nonzero word of the span, which meets zero
+                # word and from a nonzero word of the span, which meets zero;
+                # without a table find_msrd ranks it by _span_ranks at q > 2
+                # and in lanes at q = 2 (TestLanes)
                 cands = [random_nonzero(p.num_coords, q, rng)]
                 if k:
                     cands.append(code.basis[-1].scale(rng.randrange(1, q)).upper)
@@ -1278,6 +1269,65 @@ class TestLanes:
                 assert len(blocks) == 2 ** max(k - 2, 0), (t, k)
                 lanes = 2 ** min(k, 2)
                 assert {ones for _, ones in blocks} == {(1 << lanes) - 1}
+
+    def test_coset_blocks_match_product_oracle(self, monkeypatch, no_tables):
+        # find_msrd's coset cand + span(rows) in blocks of 4 words, from a
+        # random nonzero word and from a nonzero word of the span, which
+        # meets zero; t = 2..9
+        g = no_tables
+        monkeypatch.setattr(g, "_LANE_BITS", 2)
+        blocks = counted_blocks(monkeypatch, g)
+        f, rng = make_field(2), random.Random(22)
+        for t in range(2, 10):
+            p = SchemeParams(2, t)
+            for k in range(min(p.num_coords, 7) + 1):
+                code = dense_code(p, f, k, rng)
+                rows = code.basis_rows()
+                cands = [random_nonzero(p.num_coords, 2, rng)]
+                if k:
+                    coeffs = random_nonzero(k, 2, rng)
+                    cands.append(tuple(sum(c & x for c, x in zip(coeffs, col))
+                                       % 2 for col in zip(*rows)))
+                for cand in cands:
+                    blocks.clear()
+                    counts = [0] * (p.n + 1)
+                    for block in g._lane_blocks(p, rows, cand):
+                        for r, c in enumerate(block):
+                            counts[r] += c
+                    assert tuple(counts) == product_oracle(code, cand), (t, k)
+                    assert len(blocks) == 2 ** max(k - 2, 0), (t, k)
+                assert not k or counts[0] == 1
+
+    def test_coset_check_stops_at_the_first_low_block(self, monkeypatch,
+                                                       no_tables):
+        # find_msrd's check ranks blocks up to the first that holds a rank
+        # below d and no further
+        g = no_tables
+        monkeypatch.setattr(g, "_LANE_BITS", 2)
+        blocks = counted_blocks(monkeypatch, g)
+        f, rng = make_field(2), random.Random(23)
+        p = SchemeParams(2, 6)
+        stops = set()
+        for _ in range(20):
+            rows = dense_code(p, f, 5, rng).basis_rows()
+            cand = random_nonzero(p.num_coords, 2, rng)
+            every = list(g._lane_blocks(p, rows, cand))
+            for d in range(1, p.n + 1):
+                low = [any(block[:d]) for block in every]
+                blocks.clear()
+                walk = g._lane_blocks(p, rows, cand)
+                assert any(any(block[:d]) for block in walk) == any(low)
+                ranked = low.index(True) + 1 if any(low) else len(every)
+                assert len(blocks) == ranked
+                stops.add(ranked)
+        assert len(stops) > 2
+        # cand = rows[2], the first outer row: block 0 is cand + span(rows[:2])
+        # and holds no zero, and block 1, its Gray step by rows[2], holds it
+        rows = dense_code(p, f, 5, rng).basis_rows()
+        blocks.clear()
+        walk = g._lane_blocks(p, rows, rows[2])
+        assert any(any(block[:1]) for block in walk)
+        assert len(blocks) == 2
 
     def test_verify_code_on_lanes(self, monkeypatch, no_tables):
         # (2,7) at k = 16 and its dual at k = 5, both sides in lanes
