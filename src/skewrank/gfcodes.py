@@ -257,8 +257,8 @@ def _alt_rank(mat: list[list[int]], t: int, field: FieldSpec) -> int:
     of field elements, by symplectic pair pivots: the number of pairs
     _pair_pivots finds, stopping at pair t // 2, after which no further
     pair fits.  It ranks any q, but above the cap the package calls it only
-    at q > 2, through _span_ranks; q = 2 goes to _lane_blocks.  mat is not
-    mutated.
+    at q >= 17, through _span_ranks; q <= 16 goes to _lane_blocks.  mat is
+    not mutated.
     """
     return len(_pair_pivots(list(mat), t, field, t // 2))
 
@@ -637,20 +637,22 @@ def weight_distribution(code: LinearCode,
                         budget: int = DEFAULT_BUDGET) -> WeightDist:
     """Counts of codewords by skew rank over all q^k words.
 
-    The zero word counts once, and every other rank counts q - 1 times, once
-    per nonzero multiple of its word: one word on each line through zero is
-    ranked, (q^k - 1)/(q - 1) in all.  Whenever rank_table gives a table
-    (the space fits under _RANK_TABLE_CAP, a memory cap; the table is built
-    once per process) the words are read from it one table row at a time by
-    _RowWalk, in batches of at most 256 ranks that are joined 64 at a time,
-    counted and dropped.  Above the cap, at q = 2, _lane_blocks ranks all
-    2^k words in bit-sliced blocks of up to 2^_LANE_BITS words, each block
-    one pass of the pair-pivot rule over ints of one bit a word, and the
-    blocks' counts are summed; at any other q each word is ranked by
-    _alt_rank along _span_ranks.  Memory beyond the table and the per-field
-    sum tables of _chunk_sums is O(1) in q^k: one group of batches, at most
-    16 KiB, is held, or one block of t^2 ints of 2^_LANE_BITS bits (2 KiB
-    each), or one word.
+    Whenever rank_table gives a table (the space fits under _RANK_TABLE_CAP,
+    a memory cap; the table is built once per process) the words are read
+    from it one table row at a time by _RowWalk, in batches of at most 256
+    ranks that are joined 64 at a time, counted and dropped: one word on
+    each line through zero is ranked, (q^k - 1)/(q - 1) in all, the zero
+    word counts once, and every other rank q - 1 times, once per nonzero
+    multiple of its word.  Above the cap, at q <= 16, _lane_blocks ranks
+    all q^k words, zero included, in blocks of up to 2^_LANE_BITS words,
+    each block one pass of the pair-pivot rule over ints of one bit a word
+    at q = 2 or one byte a word above, and the blocks' counts are summed;
+    so there the budget's q^k is the number of words ranked.  At q >= 17
+    each word on a line through zero is ranked by _alt_rank along
+    _span_ranks, and counted as in the tabled walk.  Memory beyond the
+    table and the per-field tables of _chunk_sums and _lane_ops is O(1) in
+    q^k: one group of batches, at most 16 KiB, is held, or one block of N
+    ints of at most 2^_LANE_BITS bytes, or one word.
     """
     params, field = code.params, code.field
     size = field.q**code.k
@@ -661,12 +663,14 @@ def weight_distribution(code: LinearCode,
     n, multiples = params.n, field.q - 1
     ranked = [0] * (n + 1)
     tbl = rank_table(params, field)
-    if tbl is None and field.q == 2:
-        # a block's list stops at its top rank, so it is not zipped
-        for block in _lane_blocks(params, code.basis_rows()):
+    if tbl is None and field.q <= 16:
+        # every word, zero included; a block's list stops at its top rank,
+        # so it is not zipped
+        for block in _lane_blocks(params, field, code.basis_rows()):
             for r, c in enumerate(block):
                 ranked[r] += c
-    elif tbl is None:
+        return WeightDist(params, tuple(ranked))
+    if tbl is None:
         for rank in _span_ranks(params, field, code.basis_rows()):
             ranked[rank] += 1
     else:
@@ -677,17 +681,31 @@ def weight_distribution(code: LinearCode,
     return WeightDist(params, (1, *(multiples * c for c in ranked[1:])))
 
 
-# _lane_blocks ranks a q = 2 coset in blocks of 2^_LANE_BITS words, so each
-# entry's int is 2 KiB.  Measured on a 2-core host (Python 3.11, -O, one
-# random code each) with blocks of 2^12, 2^14, 2^16 and 2^18 words: (2,8)
-# k=22 72, 32, 24 and 102 ms; (2,7) k=20 12, 5.9, 8.7 and 88 ms
+# _lane_blocks ranks a coset in blocks of at most 2^_LANE_BITS words, so each
+# entry's int is at most 2 KiB at q = 2 and 16 KiB at 2 < q <= 16.  Measured
+# on a 2-core host (Python 3.11, -O, one random code each) with q = 2 blocks
+# of 2^12, 2^14, 2^16 and 2^18 words: (2,8) k=22 72, 32, 24 and 102 ms; (2,7)
+# k=20 12, 5.9, 8.7 and 88 ms
 _LANE_BITS = 14
 
 
-def _lane_blocks(params: SchemeParams, rows, start=()):
-    """Counts by skew rank of the 2^k words of start + span(rows) at q = 2,
-    one list per block of 2^b words, b = min(k, _LANE_BITS), each list as
-    long as the block's top rank + 1; start is a word, or () for zero.
+def _lane_blocks(params: SchemeParams, field: FieldSpec, rows, start=()):
+    """Counts by skew rank of the q^k words of start + span(rows), one list
+    per block of words, each list as long as the block's top rank + 1;
+    start is a word, or () for zero.  The caller runs it where no table
+    covers the space and q <= 16: q = 2 on bit lanes (_bit_blocks), larger
+    q on byte lanes (_byte_blocks).  Each block is ranked as the caller
+    asks for it, so a caller that stops early ranks no further block:
+    weight_distribution sums them all, and find_msrd stops at the first
+    with a rank below d.
+    """
+    if field.q == 2:
+        return _bit_blocks(params, rows, start)
+    return _byte_blocks(params, field, rows, start)
+
+
+def _bit_blocks(params: SchemeParams, rows, start):
+    """_lane_blocks at q = 2, in blocks of 2^b words, b = min(k, _LANE_BITS).
 
     The words of a block are bit-sliced (Biham, FSE 1997): entry e of the
     upper triangle is one int whose bit w is entry e of word w, the word of
@@ -695,10 +713,8 @@ def _lane_blocks(params: SchemeParams, rows, start=()):
     all ones where start is 1, else 0, and bit w of inner row r's lane mask
     is bit r of w, XORed into the entries where row r is 1.  The other
     blocks are its cosets, walked over the outer rows rows[b:] in Gray
-    order: a step XORs all ones into the entries where its row is 1.
-    _lane_pivots ranks each block as the caller asks for it, so a caller
-    that stops early ranks no further block: weight_distribution sums them
-    all, and find_msrd stops at the first with a rank below d.
+    order: a step XORs all ones into the entries where its row is 1, and
+    _lane_pivots ranks each block.
     """
     k = len(rows)
     b = min(k, _LANE_BITS)
@@ -718,7 +734,7 @@ def _lane_blocks(params: SchemeParams, rows, start=()):
 
 def _lane_pivots(entries: list[int], t: int, ones: int) -> list[int]:
     """Counts by skew rank of the words of one block of lanes, the entries
-    bit-sliced as _lane_blocks sets out and `ones` the block's all-lanes int.
+    bit-sliced as _bit_blocks sets out and `ones` the block's all-lanes int.
 
     _pair_pivots' step on every lane at once, with no branch per lane.  For
     row i, a lane takes its first j > i with entry (i, j) set: sel_j is the
@@ -765,12 +781,159 @@ def _lane_pivots(entries: list[int], t: int, ones: int) -> list[int]:
     return [x - y for x, y in zip(sizes, sizes[1:])]
 
 
+# per field: the translate tables of the byte lanes, built on first use
+_LANE_OPS: dict[tuple, tuple] = {}
+
+
+def _lane_ops(field: FieldSpec) -> tuple:
+    """The field's byte-lane tables, for 2 < q <= 16: u -> u + a for each
+    a < q, the unary nonzero (-> 0xFF) and inverse (0 -> 0), and add, sub
+    and mul of a byte 16 a + b, a label in each nibble.  Entries no label
+    reaches are padding, never read."""
+    ops = _LANE_OPS.get(field.table_key())
+    if ops is None:
+        q, add, mul, neg = field.q, field._add, field._mul, field._neg
+
+        def unary(values):
+            return bytes(values).ljust(256, b"\0")
+
+        def binary(table):
+            return bytes(table[a][b] if a < q and b < q else 0
+                         for a in range(16) for b in range(16))
+
+        sub = [[add[a][neg[b]] for b in range(q)] for a in range(q)]
+        nonzero = unary(0xFF if a else 0 for a in range(q))
+        ops = _LANE_OPS[field.table_key()] = (
+            [unary(row) for row in add], nonzero, unary(field._inv),
+            binary(add), binary(sub), binary(mul))
+    return ops
+
+
+def _byte_blocks(params: SchemeParams, field: FieldSpec, rows, start):
+    """_lane_blocks at 2 < q <= 16, in blocks of q^b words, b the most rows
+    whose q^b words fit in 2^_LANE_BITS lanes.
+
+    Entry e of the upper triangle is one bytes object whose byte w is entry
+    e of word w, the word of lane w.  The first block is
+    start + span(rows[:b]), lane w the word start + sum_r c_r rows[r] for
+    w = sum_r c_r q^r, built entry by entry: after r rows the q^r lanes are
+    x, and row r appends x + c g for c = 1..q-1, g its entry, one translate
+    each.  The other blocks are its cosets, walked over the F_p-basis of
+    the outer rows rows[b:] (_fp_basis) in modular p-ary Gray order, as in
+    _span_ranks: a step adds its vector to every lane, one translate per
+    entry of its support.  _byte_pivots ranks each block.
+    """
+    q, p, mul = field.q, field.p, field._mul
+    adds = _lane_ops(field)[0]
+    k, b = len(rows), 0
+    while b < k and q ** (b + 1) <= 1 << _LANE_BITS:
+        b += 1
+    entries = []
+    for e, v in enumerate(start or [0] * params.num_coords):
+        x = bytes([v])
+        for row in rows[:b]:
+            g = row[e]
+            x = b"".join([x] + [x.translate(adds[mul[c][g]])
+                                for c in range(1, q)]) if g else x * q
+        entries.append(x)
+    supports = [[(e, adds[g]) for e, g in enumerate(vec) if g]
+                for vec in _fp_basis(rows[b:], field)]
+    for s in range(p ** len(supports)):
+        if s:
+            r = 0
+            while not s % p:
+                s //= p
+                r += 1
+            for e, shift in supports[r]:
+                entries[e] = entries[e].translate(shift)
+        yield _byte_pivots(entries, params.t, field)
+
+
+def _byte_pivots(entries: list[bytes], t: int, field: FieldSpec) -> list[int]:
+    """Counts by skew rank of the words of one block of byte lanes, the
+    entries laid out as _byte_blocks sets out.
+
+    _pair_pivots' step on every lane at once, with no branch per lane, each
+    entry held as one int whose byte w is its label in lane w.  A unary
+    field op is one translate of the int's bytes; a binary op f(A, B) is one
+    translate of (A << 4) | B by the table of f(a, b) at 16 a + b, which
+    fits because q <= 16.  For row i, a lane takes its first j > i with
+    A_ij nonzero: sel_j is the lanes where it is, as 0xFF bytes, and none
+    before.  The pivot P = A_ij and row j, R, are gathered by AND/OR over j
+    with sel_j; only the upper triangle is kept, so R_l = A_jl for l > j
+    and -A_lj for l < j, gathered apart and joined as hi - lo (a lane has
+    one of them).  With S = R / P (0 where no pivot, as inv 0 is 0) each
+    entry (k, l), i < k < l, becomes x + S_k A_il - A_ik S_l: the form of
+    row_k + (A_ki row_j - A_kj row_i) / A_ij, with A_kj = -R_k.  That
+    zeroes row and column j; a lane whose row i is zero past i gets
+    nothing, as its A_ik, A_il and S are zero.  Entries up to row and
+    column i are not read again, and are not updated.  ge[s] is the lanes
+    with at least s pivots so far, as 0xFF bytes.
+    """
+    _, nonzero, inv, add, sub, mul = _lane_ops(field)
+    size = len(entries[0])
+    frm = int.from_bytes
+
+    def unary(table, x):
+        return frm(x.to_bytes(size, "little").translate(table), "little")
+
+    def binary(table, x, y):
+        return frm(((x << 4) | y).to_bytes(size, "little").translate(table),
+                   "little")
+
+    ones = (1 << 8 * size) - 1
+    rows = [[0] * t for _ in range(t)]
+    for (i, j), x in zip(upper_positions(t), entries):
+        rows[i][j] = frm(x, "little")
+    ge = [ones]
+    for i in range(t - 1):
+        ri = rows[i]
+        rest, pivot, hi, lo = ones, 0, [0] * t, [0] * t
+        for j in range(i + 1, t):
+            if not ri[j]:
+                continue
+            sel = unary(nonzero, ri[j]) & rest
+            if sel:
+                rest ^= sel
+                pivot |= sel & ri[j]
+                for l in range(i + 1, j):
+                    lo[l] |= sel & rows[l][j]
+                rj = rows[j]
+                for l in range(j + 1, t):
+                    hi[l] |= sel & rj[l]
+                if not rest:
+                    break
+        pivoted = ones ^ rest
+        if not pivoted:
+            continue
+        top = ge[-1] & pivoted
+        for s in range(len(ge) - 1, 0, -1):
+            ge[s] |= ge[s - 1] & pivoted
+        if top:
+            ge.append(top)
+        scale = unary(inv, pivot)
+        scaled = [binary(mul, binary(sub, x, y), scale) if x or y else 0
+                  for x, y in zip(hi, lo)]
+        for k in range(i + 1, t - 1):
+            a, s = ri[k], scaled[k]
+            if a or s:
+                rk = rows[k]
+                for l in range(k + 1, t):
+                    x = rk[l]
+                    if s and ri[l]:
+                        x = binary(add, x, binary(mul, s, ri[l]))
+                    if a and scaled[l]:
+                        x = binary(sub, x, binary(mul, a, scaled[l]))
+                    rk[l] = x
+    sizes = [g.bit_count() // 8 for g in ge] + [0]
+    return [x - y for x, y in zip(sizes, sizes[1:])]
+
+
 def _span_ranks(params: SchemeParams, field: FieldSpec, rows):
     """Skew rank of rows[i] + w for every w in span(rows[i+1:]), i = 0..k-1,
-    each word ranked by _alt_rank.  It serves spaces no table covers at
-    q > 2, where q = 2 goes to _lane_blocks: weight_distribution's
-    enumeration, and find_msrd's coset check, which stops a walk at its
-    first word of too low a rank.
+    each word ranked by _alt_rank.  It serves weight_distribution's
+    enumeration of spaces no table covers at q >= 17, where a byte cannot
+    hold two labels; q <= 16 goes to _lane_blocks.
 
     That is one nonzero word on each line through zero of span(rows), its
     projective points: (q^k - 1)/(q - 1) values, rows[0] + span(rows[1:])

@@ -326,10 +326,11 @@ def find_msrd(
     space it is read from the table by _RowWalk.coset, a batch of ranks at
     a time, from a walk over the basis set up again only when a candidate
     joins, so that no elimination runs per candidate.  Above the cap, at
-    q = 2, the coset is ranked by _lane_blocks in bit-sliced blocks, and
-    the check stops at the first block that holds a rank below d; at any
-    other q it is the first q^|basis| ranks of the projective walk
-    _span_ranks of [cand, *basis].
+    q <= 16, the coset is ranked by _lane_blocks in blocks of lanes, one bit
+    a word at q = 2 and one byte above, started at cand, and the check
+    stops at the first block that holds a rank below d; at q >= 17 it is
+    the first q^|basis| ranks of the projective walk _span_ranks of
+    [cand, *basis].
     Returns None once `budget` candidate samples are spent (existence is a
     property of the parameters, not of this search).
     """
@@ -358,9 +359,9 @@ def find_msrd(
             samples += 1
             if not any(cand):
                 continue
-            if walk is None and q == 2:
-                rejected = any(any(block[:d])
-                               for block in _lane_blocks(params, basis, cand))
+            if walk is None and q <= 16:
+                rejected = any(any(block[:d]) for block
+                               in _lane_blocks(params, field, basis, cand))
             elif walk is None:
                 coset = islice(_span_ranks(params, field, [cand, *basis]),
                                q ** len(basis))

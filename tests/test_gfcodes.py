@@ -1054,8 +1054,8 @@ class TestEnumerationPaths:
         if mode == "no-table":
             # q = 2 codes of t = 6..8: weight_distribution ranks them in
             # lanes, checked against product_oracle; _span_ranks, which
-            # the package runs only at q > 2, still ranks any q, and its
-            # row-list walk is checked on them directly
+            # the package runs only at q >= 17, still ranks any q, and its
+            # row-list walk is checked on every case directly
             cases += [(2, 6), (2, 7), (2, 8)]
         for q, t in cases:
             p, f = SchemeParams(q, t), make_field(q)
@@ -1074,9 +1074,9 @@ class TestEnumerationPaths:
                     walk = g._RowWalk(p, f, tbl, rows)
                     assert_batches_are_cosets(code, walk)
                 else:
-                    # q = 2 ranks every word in lanes, none by _alt_rank;
-                    # odd q ranks one word per line through zero
-                    assert calls == (0 if q == 2 else (q**k - 1) // (q - 1))
+                    # every q <= 16 ranks all its words in lanes, none by
+                    # _alt_rank
+                    assert calls == 0
                     # coset i is rows[i] + span(rows[i+1:]), in order of i
                     ranks = list(g._span_ranks(p, f, rows))
                     assert len(ranks) == (q**k - 1) // (q - 1)
@@ -1087,8 +1087,9 @@ class TestEnumerationPaths:
                                 == product_oracle(tail, rows[i]))
                 # find_msrd's coset cand + span(rows), from a random nonzero
                 # word and from a nonzero word of the span, which meets zero;
-                # without a table find_msrd ranks it by _span_ranks at q > 2
-                # and in lanes at q = 2 (TestLanes)
+                # without a table find_msrd ranks it in lanes (TestLanes),
+                # and _span_ranks, which the package runs only at q >= 17,
+                # is checked on it here
                 cands = [random_nonzero(p.num_coords, q, rng)]
                 if k:
                     cands.append(code.basis[-1].scale(rng.randrange(1, q)).upper)
@@ -1230,7 +1231,7 @@ class TestEnumerationPaths:
 
 @pytest.fixture
 def no_tables(monkeypatch):
-    """Every space untabled, and q = 2 never ranked a word at a time."""
+    """Every space untabled, and no q <= 16 ranked a word at a time."""
     import skewrank.gfcodes as g
 
     monkeypatch.setattr(g, "_RANK_TABLE_CAP", 0)
@@ -1249,6 +1250,18 @@ def counted_blocks(monkeypatch, g):
 
     monkeypatch.setattr(g, "_lane_pivots", record)
     return blocks
+
+
+def counted_byte_blocks(monkeypatch, g):
+    """Wrap _byte_pivots; returns the list of each block's entry lengths."""
+    lanes, real = [], g._byte_pivots
+
+    def record(entries, t, field):
+        lanes.append({len(x) for x in entries})
+        return real(entries, t, field)
+
+    monkeypatch.setattr(g, "_byte_pivots", record)
+    return lanes
 
 
 class TestLanes:
@@ -1291,7 +1304,7 @@ class TestLanes:
                 for cand in cands:
                     blocks.clear()
                     counts = [0] * (p.n + 1)
-                    for block in g._lane_blocks(p, rows, cand):
+                    for block in g._lane_blocks(p, f, rows, cand):
                         for r, c in enumerate(block):
                             counts[r] += c
                     assert tuple(counts) == product_oracle(code, cand), (t, k)
@@ -1311,11 +1324,11 @@ class TestLanes:
         for _ in range(20):
             rows = dense_code(p, f, 5, rng).basis_rows()
             cand = random_nonzero(p.num_coords, 2, rng)
-            every = list(g._lane_blocks(p, rows, cand))
+            every = list(g._lane_blocks(p, f, rows, cand))
             for d in range(1, p.n + 1):
                 low = [any(block[:d]) for block in every]
                 blocks.clear()
-                walk = g._lane_blocks(p, rows, cand)
+                walk = g._lane_blocks(p, f, rows, cand)
                 assert any(any(block[:d]) for block in walk) == any(low)
                 ranked = low.index(True) + 1 if any(low) else len(every)
                 assert len(blocks) == ranked
@@ -1325,7 +1338,7 @@ class TestLanes:
         # and holds no zero, and block 1, its Gray step by rows[2], holds it
         rows = dense_code(p, f, 5, rng).basis_rows()
         blocks.clear()
-        walk = g._lane_blocks(p, rows, rows[2])
+        walk = g._lane_blocks(p, f, rows, rows[2])
         assert any(any(block[:1]) for block in walk)
         assert len(blocks) == 2
 
@@ -1352,6 +1365,86 @@ class TestLanes:
         for entries, ones in blocks:
             assert ones == (1 << (1 << 14)) - 1
             assert max(x.bit_length() for x in entries) <= 1 << 14
+
+    BYTE_FIELDS = [(q, None) for q in (3, 4, 5, 7, 8, 9, 11, 13)] + [
+        (16, (1, 1, 0, 0, 1))]
+
+    @pytest.mark.parametrize("q,modulus", BYTE_FIELDS)
+    def test_byte_lanes_match_product_oracle(self, monkeypatch, no_tables, q,
+                                             modulus):
+        # 2 < q <= 16 on byte lanes, GF(16) under x^4 + x + 1 the q^2 = 256
+        # edge of a byte.  Blocks of at most 16 words: q^b lanes, b = 2 at
+        # q = 3, 4 and 1 above, so that k > b walks q^(k-b) blocks over the
+        # outer rows' F_p-basis in p-ary Gray order.  Each code is ranked by
+        # weight_distribution, and its cosets from zero, a random nonzero
+        # start and a nonzero start in the span, which meets rank 0 once
+        g = no_tables
+        monkeypatch.setattr(g, "_LANE_BITS", 4)
+        monkeypatch.setattr(g, "_span_ranks",
+                            lambda *args: pytest.fail("_span_ranks"))
+        lanes = counted_byte_blocks(monkeypatch, g)
+        f, rng = make_field(q, modulus), random.Random(q)
+        walks = 0
+        for t in range(2, 6):
+            p = SchemeParams(q, t)
+            for k in range(min(p.num_coords, 3) + 1):
+                if q**k > 800:
+                    continue
+                code = dense_code(p, f, k, rng)
+                rows = code.basis_rows()
+                assert weight_distribution(code).counts == product_oracle(code)
+                starts = [(), random_nonzero(p.num_coords, q, rng)]
+                if k:
+                    word = code.basis[0].scale(0)
+                    for c, m in zip(random_nonzero(k, q, rng), code.basis):
+                        word = word.add(m.scale(c))
+                    starts.append(word.upper)
+                b = min(k, 2 if q <= 4 else 1)
+                for start in starts:
+                    lanes.clear()
+                    counts = [0] * (p.n + 1)
+                    for block in g._lane_blocks(p, f, rows, start):
+                        for r, c in enumerate(block):
+                            counts[r] += c
+                    assert tuple(counts) == product_oracle(code, start), (t, k)
+                    assert len(lanes) == q ** (k - b), (t, k)
+                    assert lanes == [{q**b}] * len(lanes)
+                    walks += len(lanes) > 1
+                if k:
+                    assert counts[0] == 1
+        assert walks
+
+    def test_byte_blocks_hold_at_most_2_14_words(self, monkeypatch,
+                                                 no_tables):
+        # 3^8 <= 2^14 < 3^9: a (3,6) k = 10 code is 9 blocks of 3^8 words
+        lanes = counted_byte_blocks(monkeypatch, no_tables)
+        p, f = SchemeParams(3, 6), make_field(3)
+        dist = weight_distribution(random_code(p, f, 10, random.Random(10)))
+        assert dist.size == 3**10 and dist.counts[0] == 1
+        assert lanes == [{3**8}] * 9
+
+    def test_q17_ranks_word_by_word(self, monkeypatch, no_tables):
+        # q >= 17 has no byte-lane form: weight_distribution walks one word
+        # per line through zero by _span_ranks
+        g = no_tables
+        monkeypatch.setattr(g, "_lane_blocks",
+                            lambda *args: pytest.fail("_lane_blocks"))
+        walks, real = [], g._span_ranks
+
+        def counted(params, field, rows):
+            walks.append(0)
+            for rank in real(params, field, rows):
+                walks[-1] += 1
+                yield rank
+
+        monkeypatch.setattr(g, "_span_ranks", counted)
+        monkeypatch.setattr(g, "_alt_rank", _alt_rank)
+        p, f, rng = SchemeParams(17, 4), make_field(17), random.Random(17)
+        for k in range(3):
+            code = dense_code(p, f, k, rng)
+            walks.clear()
+            assert weight_distribution(code).counts == product_oracle(code)
+            assert walks == [(17**k - 1) // 16]
 
 
 class TestSkewMatArithmetic:

@@ -375,8 +375,6 @@ class TestFindMsrd:
         (5, 4, 2, 0, 300): None,
         (2, 6, 2, 0, 300): None,
         (2, 6, 2, 0, 2000): None,
-        (2, 7, 3, 0, 300): None,
-        (2, 7, 3, 0, 2000): None,
         (2, 5, 2, 0, 20000): "bfb706ac907b6ef3",
         (2, 5, 2, 1, 20000): "0d425264aa4dc3b9",
         (2, 5, 2, 2, 20000): "3c835afa3a19119b",
@@ -395,6 +393,8 @@ class TestFindMsrd:
         (2, 5, 2, 5, 20000): "65550327e611178b",
         (2, 5, 2, 6, 20000): "1767b6bc31a8f0b0",
         (2, 5, 2, 7, 20000): "cc81c8ddac998029",
+        (2, 7, 3, 0, 300): None,
+        (2, 7, 3, 0, 2000): None,
         (2, 8, 3, 0, 300): None,
         (3, 5, 2, 2, 2000): "b8b2e5b27c519d39",
         (4, 5, 2, 1, 2000): "954270220345f4c6",
@@ -442,39 +442,44 @@ class TestFindMsrd:
         code = find_msrd(SchemeParams(q, t), d, budget=budget, seed=seed)
         assert self._digest(code) == self.PINNED_UNTABLED[case]
 
+    @pytest.mark.parametrize("case", [(3, 5, 2, 2, 2000), (4, 5, 2, 1, 2000),
+                                      (8, 4, 2, 0, 300), (9, 4, 2, 0, 300)])
+    def test_byte_lanes_without_table_rank_no_word_alone(self, monkeypatch,
+                                                         case):
+        # above the cap every 2 < q <= 16 coset is ranked in byte-lane blocks
+        monkeypatch.setattr(gfcodes, "_RANK_TABLE_CAP", 0)
+        monkeypatch.setattr(gfcodes, "_RANK_TABLES", {})
+        monkeypatch.setattr(gfcodes, "_alt_rank",
+                            lambda *args: pytest.fail("_alt_rank"))
+        monkeypatch.setattr(moments, "_span_ranks",
+                            lambda *args: pytest.fail("_span_ranks"))
+        q, t, d, seed, budget = case
+        code = find_msrd(SchemeParams(q, t), d, budget=budget, seed=seed)
+        assert self._digest(code) == self.PINNED_UNTABLED[case]
+
     def test_budget_exhaustion_returns_none(self):
         assert find_msrd(P24, 2, budget=400, seed=0) is None
 
     @pytest.mark.parametrize("mode", ["table", "no-table"])
     def test_each_walk_ranks_one_coset(self, monkeypatch, mode):
         # cand + span(basis): at most q^|basis| words, not the grown span;
-        # without a table q = 2 counts the words of its lane blocks
-        walks, lane_walks = [], []
+        # without a table every q here counts the words of its lane blocks
+        walks = []
+        monkeypatch.setattr(moments, "_span_ranks",
+                            lambda *args: pytest.fail("_span_ranks"))
         if mode == "no-table":
             monkeypatch.setattr(gfcodes, "_RANK_TABLE_CAP", 0)
             monkeypatch.setattr(gfcodes, "_RANK_TABLES", {})
-            real = moments._span_ranks
-
-            def counted(params, field, rows):
-                walks.append([field.q ** (len(rows) - 1), 0])
-                for rank in real(params, field, rows):
-                    walks[-1][1] += 1
-                    yield rank
-
-            monkeypatch.setattr(moments, "_span_ranks", counted)
             real_lanes = moments._lane_blocks
 
-            def counted_lanes(params, rows, start):
-                walks.append([2 ** len(rows), 0])
-                lane_walks.append(walks[-1])
-                for block in real_lanes(params, rows, start):
+            def counted_lanes(params, field, rows, start):
+                walks.append([field.q ** len(rows), 0])
+                for block in real_lanes(params, field, rows, start):
                     walks[-1][1] += sum(block)
                     yield block
 
             monkeypatch.setattr(moments, "_lane_blocks", counted_lanes)
         else:
-            monkeypatch.setattr(moments, "_span_ranks",
-                                lambda *args: pytest.fail("_span_ranks"))
             real = gfcodes._RowWalk.coset
 
             def counted(walk, cand):
@@ -490,9 +495,6 @@ class TestFindMsrd:
         assert len(walks) > 100
         assert all(0 < ranked <= bound for bound, ranked in walks)
         assert any(ranked == bound > 1 for bound, ranked in walks)
-        if mode == "no-table":
-            assert len(lane_walks) > 100
-            assert any(ranked == bound > 1 for bound, ranked in lane_walks)
 
 
 class TestMsrd242Nonexistence:

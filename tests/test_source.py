@@ -1,6 +1,8 @@
 """Checks on the library's source text."""
 
 import ast
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -310,6 +312,33 @@ def test_every_cache_is_bounded():
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
         found += [f"{path.name}:{line}" for line in _unbounded_caches(tree)]
     assert not found, f"caches without a finite bound: {found}"
+
+
+# import, make_field and rank_table of an untabled space: what setup_s times,
+# then one lane-ranked code; prints the byte-lane tables' fields after each
+_LANE_SETUP = """
+import random
+from skewrank import SchemeParams, make_field, random_code, weight_distribution
+from skewrank.gfcodes import _LANE_OPS, rank_table
+p = SchemeParams(3, 6)
+f = make_field(3)
+assert rank_table(p, f) is None
+print(sorted(_LANE_OPS))
+weight_distribution(random_code(p, f, 2, random.Random(0)))
+print(sorted(_LANE_OPS))
+"""
+
+
+def test_set_up_builds_no_byte_lane_tables():
+    # setup_s times the import, make_field and rank_table; the byte-lane
+    # translate tables wait for the first block that needs them
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", _LANE_SETUP],
+                          capture_output=True, text=True, timeout=120,
+                          env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split("\n") == ["[]", "[(3, None)]", ""]
 
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
