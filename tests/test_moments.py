@@ -375,6 +375,9 @@ class TestFindMsrd:
         (5, 4, 2, 0, 300): None,
         (2, 6, 2, 0, 300): None,
         (2, 6, 2, 0, 2000): None,
+        # recorded later, from the tabled search; the lane search agrees
+        (2, 6, 3, 0, 300): None,
+        (2, 6, 3, 0, 2000): None,
         (2, 5, 2, 0, 20000): "bfb706ac907b6ef3",
         (2, 5, 2, 1, 20000): "0d425264aa4dc3b9",
         (2, 5, 2, 2, 20000): "3c835afa3a19119b",
