@@ -18,7 +18,7 @@ import time
 
 from skewrank.selftest import random_code_sweep
 
-DEFAULT_PAIRS = ["2,4", "2,5", "2,6", "3,4", "3,5"]
+DEFAULT_PAIRS = ["2,4", "2,5", "2,6", "3,4", "3,5", "17,4"]
 
 
 def main() -> int:

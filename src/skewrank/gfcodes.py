@@ -256,9 +256,9 @@ def _alt_rank(mat: list[list[int]], t: int, field: FieldSpec) -> int:
     """Skew rank of an alternating t x t matrix, given as a list of t rows
     of field elements, by symplectic pair pivots: the number of pairs
     _pair_pivots finds, stopping at pair t // 2, after which no further
-    pair fits.  It ranks any q, but above the cap the package calls it only
-    at q >= 17, through _span_ranks; q <= 16 goes to _lane_blocks.  mat is
-    not mutated.
+    pair fits.  It ranks any q, but the package calls it only where
+    _lane_blocks sends a space with no table to _word_blocks.  mat is not
+    mutated.
     """
     return len(_pair_pivots(list(mat), t, field, t // 2))
 
@@ -637,22 +637,14 @@ def weight_distribution(code: LinearCode,
                         budget: int = DEFAULT_BUDGET) -> WeightDist:
     """Counts of codewords by skew rank over all q^k words.
 
-    Whenever rank_table gives a table (the space fits under _RANK_TABLE_CAP,
-    a memory cap; the table is built once per process) the words are read
-    from it one table row at a time by _RowWalk, in batches of at most 256
-    ranks that are joined 64 at a time, counted and dropped: one word on
-    each line through zero is ranked, (q^k - 1)/(q - 1) in all, the zero
-    word counts once, and every other rank q - 1 times, once per nonzero
-    multiple of its word.  Above the cap, at q <= 16, _lane_blocks ranks
-    all q^k words, zero included, in blocks of up to 2^_LANE_BITS words,
-    each block one pass of the pair-pivot rule over ints of one bit a word
-    at q = 2 or one byte a word above, and the blocks' counts are summed;
-    so there the budget's q^k is the number of words ranked.  At q >= 17
-    each word on a line through zero is ranked by _alt_rank along
-    _span_ranks, and counted as in the tabled walk.  Memory beyond the
-    table and the per-field tables of _chunk_sums and _lane_ops is O(1) in
-    q^k: one group of batches, at most 16 KiB, is held, or one block of N
-    ints of at most 2^_LANE_BITS bytes, or one word.
+    With no table (the space is over _RANK_TABLE_CAP, a memory cap) the
+    blocks of _lane_blocks are summed.  With one (built once per process)
+    the words are read from it one table row at a time by _RowWalk, in
+    batches of at most 256 ranks that are joined 64 at a time, counted and
+    dropped: one word on each line through zero is ranked, the zero word
+    counts once, and every other rank q - 1 times, once per nonzero
+    multiple of its word.  Memory beyond the table and the per-field tables
+    is O(1) in q^k: one group of batches, at most 16 KiB, or one block.
     """
     params, field = code.params, code.field
     size = field.q**code.k
@@ -663,21 +655,16 @@ def weight_distribution(code: LinearCode,
     n, multiples = params.n, field.q - 1
     ranked = [0] * (n + 1)
     tbl = rank_table(params, field)
-    if tbl is None and field.q <= 16:
-        # every word, zero included; a block's list stops at its top rank,
-        # so it is not zipped
+    if tbl is None:
+        # a block stops at its top rank, so it is not zipped
         for block in _lane_blocks(params, field, code.basis_rows()):
             for r, c in enumerate(block):
                 ranked[r] += c
         return WeightDist(params, tuple(ranked))
-    if tbl is None:
-        for rank in _span_ranks(params, field, code.basis_rows()):
-            ranked[rank] += 1
-    else:
-        batches = _RowWalk(params, field, tbl, code.basis_rows()).lines()
-        while group := b"".join(islice(batches, 64)):
-            for r in range(1, n + 1):
-                ranked[r] += group.count(r)
+    batches = _RowWalk(params, field, tbl, code.basis_rows()).lines()
+    while group := b"".join(islice(batches, 64)):
+        for r in range(1, n + 1):
+            ranked[r] += group.count(r)
     return WeightDist(params, (1, *(multiples * c for c in ranked[1:])))
 
 
@@ -690,18 +677,22 @@ _LANE_BITS = 14
 
 
 def _lane_blocks(params: SchemeParams, field: FieldSpec, rows, start=()):
-    """Counts by skew rank of the q^k words of start + span(rows), one list
-    per block of words, each list as long as the block's top rank + 1;
-    start is a word, or () for zero.  The caller runs it where no table
-    covers the space and q <= 16: q = 2 on bit lanes (_bit_blocks), larger
-    q on byte lanes (_byte_blocks).  Each block is ranked as the caller
-    asks for it, so a caller that stops early ranks no further block:
+    """The ranker of every space no table covers, at every q; start is a
+    word, or () for zero.
+
+    The blocks partition the q^k words of start + span(rows).  Each block
+    is a sequence of counts by skew rank, at most n + 1 long, and is ranked
+    as the caller asks for it, so a caller may stop after any block:
     weight_distribution sums them all, and find_msrd stops at the first
-    with a rank below d.
+    with a rank below d.  q = 2 goes to bit lanes (_bit_blocks), 2 < q <= 16
+    to byte lanes (_byte_blocks), and q >= 17, where a byte cannot hold two
+    labels, one word at a time (_word_blocks).
     """
     if field.q == 2:
         return _bit_blocks(params, rows, start)
-    return _byte_blocks(params, field, rows, start)
+    if field.q <= 16:
+        return _byte_blocks(params, field, rows, start)
+    return _word_blocks(params, field, rows, start)
 
 
 def _bit_blocks(params: SchemeParams, rows, start):
@@ -820,7 +811,7 @@ def _byte_blocks(params: SchemeParams, field: FieldSpec, rows, start):
     x, and row r appends x + c g for c = 1..q-1, g its entry, one translate
     each.  The other blocks are its cosets, walked over the F_p-basis of
     the outer rows rows[b:] (_fp_basis) in modular p-ary Gray order, as in
-    _span_ranks: a step adds its vector to every lane, one translate per
+    _word_blocks: a step adds its vector to every lane, one translate per
     entry of its support.  _byte_pivots ranks each block.
     """
     q, p, mul = field.q, field.p, field._mul
@@ -929,44 +920,40 @@ def _byte_pivots(entries: list[bytes], t: int, field: FieldSpec) -> list[int]:
     return [x - y for x, y in zip(sizes, sizes[1:])]
 
 
-def _span_ranks(params: SchemeParams, field: FieldSpec, rows):
-    """Skew rank of rows[i] + w for every w in span(rows[i+1:]), i = 0..k-1,
-    each word ranked by _alt_rank.  It serves weight_distribution's
-    enumeration of spaces no table covers at q >= 17, where a byte cannot
-    hold two labels; q <= 16 goes to _lane_blocks.
+def _word_blocks(params: SchemeParams, field: FieldSpec, rows, start):
+    """_lane_blocks at q >= 17, each word ranked by _alt_rank.
 
-    That is one nonzero word on each line through zero of span(rows), its
-    projective points: (q^k - 1)/(q - 1) values, rows[0] + span(rows[1:])
-    first.  The other words of a line are its nonzero multiples, which have
-    the same skew rank.
+    From a start word, one one-hot block per word of start + span(rows), so
+    that find_msrd stops at the first word of rank below d.  From zero, [1]
+    for the zero word, then one block per coset rows[i] + span(rows[i+1:]),
+    i = 0..k-1, its counts times q - 1: the cosets hold one word on each
+    line through zero, (q^k - 1)/(q - 1) in all, and the other words of a
+    line are its nonzero multiples, which have the same skew rank.
 
-    Each coset is walked over the F_p-basis of its span, each row times x^j
+    A coset is walked over the F_p-basis of its span, each row times x^j
     for j < e (x^j is the integer p^j), in modular p-ary Gray order (Knuth,
-    TAOCP 4A, 7.2.1.1): the start first, then step s = 1..p^m - 1 adds
-    basis vector number v_p(s).  The vectors are _fp_basis(rows), last row
-    first: span(rows[i+1:]) is spanned by the first m = (k-1-i)e of them
-    and rows[i] is vector number m, so the starts are m = len - e, ..., e, 0,
-    the step data are built once per call, and each coset restarts the step
-    loop on a prefix.  The walk carries the matrix as t row lists, which
-    a step updates at (i, j) and (j, i) on the vector's support; a coset
-    starts as the zero matrix stepped once.
+    TAOCP 4A, 7.2.1.1): its first word, then step s = 1..p^m - 1 adds basis
+    vector number v_p(s).  The vectors are _fp_basis(rows), last row first:
+    span(rows[i+1:]) is spanned by the first m = (k-1-i)e of them and
+    rows[i] is vector number m, so the step data are built once per call
+    and each coset runs the step loop on a prefix.  The walk carries the
+    matrix as t row lists, set to _alt_rows of the coset's first word, which
+    a step updates at (i, j) and (j, i) on the vector's support.
     """
-    t, p = params.t, field.p
+    t, n, p, e = params.t, params.n, field.p, field.e
     add, neg = field._add, field._neg
+    pos = upper_positions(t)
     vectors = _fp_basis(rows, field)
-    starts = range(len(vectors) - field.e, -1, -field.e)
     mat = [[0] * t for _ in range(t)]
     steps = [
         [(mat[i], j, add[g], mat[j], i, add[neg[g]])
-         for (i, j), g in zip(upper_positions(t), vec) if g]
+         for (i, j), g in zip(pos, vec) if g]
         for vec in vectors
     ]
-    for m in starts:
-        for row in mat:
-            row[:] = [0] * t
-        for row_i, j, up, row_j, i, down in steps[m]:
-            row_i[j] = up[row_i[j]]
-            row_j[i] = down[row_j[i]]
+
+    def ranks(word, m):
+        for row, first in zip(mat, _alt_rows(t, field, word, pos)):
+            row[:] = first
         yield _alt_rank(mat, t, field)
         for s in range(1, p**m):
             r = 0
@@ -977,6 +964,19 @@ def _span_ranks(params: SchemeParams, field: FieldSpec, rows):
                 row_i[j] = up[row_i[j]]
                 row_j[i] = down[row_j[i]]
             yield _alt_rank(mat, t, field)
+
+    if start:
+        hot = [(0,) * r + (1,) for r in range(n + 1)]
+        for r in ranks(start, len(vectors)):
+            yield hot[r]
+        return
+    yield [1]
+    multiples = field.q - 1
+    for m in range(len(vectors) - e, -1, -e):
+        block = [0] * (n + 1)
+        for r in ranks(vectors[m], m):
+            block[r] += multiples
+        yield block
 
 
 def _fp_basis(rows, field: FieldSpec) -> list:
@@ -1051,7 +1051,7 @@ class _RowWalk:
         x.translate(sums[low(y)]).translate(table row high(y)),
 
     one batch of q^dim C_in ranks for two calls.  The words y are walked as
-    in _span_ranks, over the F_p-basis of `outer`, each step updating y's
+    in _word_blocks, over the F_p-basis of `outer`, each step updating y's
     three chunk values by one lookup each in the step vector's sum tables.
     """
 

@@ -13,7 +13,6 @@ import random
 from collections.abc import Iterable
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice
 
 from .gfcodes import (
     DEFAULT_BUDGET,
@@ -23,7 +22,6 @@ from .gfcodes import (
     WeightDist,
     _RowWalk,
     _lane_blocks,
-    _span_ranks,
     full_space_code,
     make_field,
     min_distance,
@@ -325,12 +323,9 @@ def find_msrd(
     (a candidate already in the span meets the zero word).  In a tabled
     space it is read from the table by _RowWalk.coset, a batch of ranks at
     a time, from a walk over the basis set up again only when a candidate
-    joins, so that no elimination runs per candidate.  Above the cap, at
-    q <= 16, the coset is ranked by _lane_blocks in blocks of lanes, one bit
-    a word at q = 2 and one byte above, started at cand, and the check
-    stops at the first block that holds a rank below d; at q >= 17 it is
-    the first q^|basis| ranks of the projective walk _span_ranks of
-    [cand, *basis].
+    joins, so that no elimination runs per candidate.  Above the cap it is
+    ranked by _lane_blocks started at cand, and the check stops at the
+    first block that holds a rank below d.
     Returns None once `budget` candidate samples are spent (existence is a
     property of the parameters, not of this search).
     """
@@ -359,13 +354,9 @@ def find_msrd(
             samples += 1
             if not any(cand):
                 continue
-            if walk is None and q <= 16:
+            if walk is None:
                 rejected = any(any(block[:d]) for block
                                in _lane_blocks(params, field, basis, cand))
-            elif walk is None:
-                coset = islice(_span_ranks(params, field, [cand, *basis]),
-                               q ** len(basis))
-                rejected = any(r < d for r in coset)
             else:
                 rejected = any(map(d.__gt__, map(min, walk.coset(cand))))
             if not rejected:

@@ -1053,7 +1053,7 @@ class TestEnumerationPaths:
         cases = [(q, 4) for q in (2, 3, 4, 5, 7, 8, 9)] + [(2, 5), (3, 5)]
         if mode == "no-table":
             # q = 2 codes of t = 6..8: weight_distribution ranks them in
-            # lanes, checked against product_oracle; _span_ranks, which
+            # lanes, checked against product_oracle; _word_blocks, which
             # the package runs only at q >= 17, still ranks any q, and its
             # row-list walk is checked on every case directly
             cases += [(2, 6), (2, 7), (2, 8)]
@@ -1077,19 +1077,20 @@ class TestEnumerationPaths:
                     # every q <= 16 ranks all its words in lanes, none by
                     # _alt_rank
                     assert calls == 0
-                    # coset i is rows[i] + span(rows[i+1:]), in order of i
-                    ranks = list(g._span_ranks(p, f, rows))
-                    assert len(ranks) == (q**k - 1) // (q - 1)
+                    # the zero word, then block i + 1 the coset
+                    # rows[i] + span(rows[i+1:]), each word q - 1 times
+                    blocks = list(g._word_blocks(p, f, rows, ()))
+                    assert len(blocks) == k + 1
+                    assert tuple(blocks[0]) == (1,)
                     for i in range(k):
                         tail = LinearCode(p, f, code.basis[i + 1:])
-                        coset, ranks = ranks[:tail.size], ranks[tail.size:]
-                        assert (rank_counts(p, coset)
-                                == product_oracle(tail, rows[i]))
+                        assert tuple(blocks[i + 1]) == tuple(
+                            (q - 1) * c for c in product_oracle(tail, rows[i]))
                 # find_msrd's coset cand + span(rows), from a random nonzero
                 # word and from a nonzero word of the span, which meets zero;
                 # without a table find_msrd ranks it in lanes (TestLanes),
-                # and _span_ranks, which the package runs only at q >= 17,
-                # is checked on it here
+                # and _word_blocks, which the package runs only at q >= 17,
+                # is checked on it here, one block per word
                 cands = [random_nonzero(p.num_coords, q, rng)]
                 if k:
                     cands.append(code.basis[-1].scale(rng.randrange(1, q)).upper)
@@ -1097,8 +1098,9 @@ class TestEnumerationPaths:
                     if mode == "table":
                         coset = b"".join(walk.coset(cand))
                     else:
-                        walk = g._span_ranks(p, f, [cand, *rows])
-                        coset = list(itertools.islice(walk, q**k))
+                        blocks = list(g._word_blocks(p, f, rows, cand))
+                        assert all(sum(block) == 1 for block in blocks)
+                        coset = [block.index(1) for block in blocks]
                     assert len(coset) == q**k
                     assert rank_counts(p, coset) == product_oracle(code, cand)
                 assert not k or 0 in coset
@@ -1380,8 +1382,8 @@ class TestLanes:
         # start and a nonzero start in the span, which meets rank 0 once
         g = no_tables
         monkeypatch.setattr(g, "_LANE_BITS", 4)
-        monkeypatch.setattr(g, "_span_ranks",
-                            lambda *args: pytest.fail("_span_ranks"))
+        monkeypatch.setattr(g, "_word_blocks",
+                            lambda *args: pytest.fail("_word_blocks"))
         lanes = counted_byte_blocks(monkeypatch, g)
         f, rng = make_field(q, modulus), random.Random(q)
         walks = 0
@@ -1423,28 +1425,51 @@ class TestLanes:
         assert dist.size == 3**10 and dist.counts[0] == 1
         assert lanes == [{3**8}] * 9
 
-    def test_q17_ranks_word_by_word(self, monkeypatch, no_tables):
-        # q >= 17 has no byte-lane form: weight_distribution walks one word
-        # per line through zero by _span_ranks
+    @pytest.mark.parametrize("q,modulus", [(17, None), (25, (1, 1, 1)),
+                                           (32, (1, 0, 0, 1, 0, 1))])
+    def test_q17_ranks_word_by_word(self, monkeypatch, no_tables, q, modulus):
+        # q >= 17 has no byte-lane form: _lane_blocks ranks one word per
+        # line through zero from zero, and every word from a start, each by
+        # _alt_rank; GF(25) and GF(32) walk e > 1 basis vectors a row
         g = no_tables
-        monkeypatch.setattr(g, "_lane_blocks",
-                            lambda *args: pytest.fail("_lane_blocks"))
-        walks, real = [], g._span_ranks
+        for lanes in ("_bit_blocks", "_byte_blocks"):
+            monkeypatch.setattr(g, lanes,
+                                lambda *args, name=lanes: pytest.fail(name))
+        calls = 0
 
-        def counted(params, field, rows):
-            walks.append(0)
-            for rank in real(params, field, rows):
-                walks[-1] += 1
-                yield rank
+        def counted(*args):
+            nonlocal calls
+            calls += 1
+            return _alt_rank(*args)
 
-        monkeypatch.setattr(g, "_span_ranks", counted)
-        monkeypatch.setattr(g, "_alt_rank", _alt_rank)
-        p, f, rng = SchemeParams(17, 4), make_field(17), random.Random(17)
+        monkeypatch.setattr(g, "_alt_rank", counted)
+        p, f, rng = SchemeParams(q, 4), make_field(q, modulus), random.Random(q)
         for k in range(3):
             code = dense_code(p, f, k, rng)
-            walks.clear()
+            rows = code.basis_rows()
+            calls = 0
             assert weight_distribution(code).counts == product_oracle(code)
-            assert walks == [(17**k - 1) // 16]
+            assert calls == (q**k - 1) // (q - 1)
+            # a random start, and a nonzero start in the span, which meets
+            # rank 0 once
+            starts = [random_nonzero(p.num_coords, q, rng)]
+            if k:
+                word = code.basis[0].scale(0)
+                for c, m in zip(random_nonzero(k, q, rng), code.basis):
+                    word = word.add(m.scale(c))
+                starts.append(word.upper)
+            for start in starts:
+                calls = 0
+                counts = [0] * (p.n + 1)
+                for block in g._lane_blocks(p, f, rows, start):
+                    for r, c in enumerate(block):
+                        counts[r] += c
+                assert tuple(counts) == product_oracle(code, start), k
+                assert calls == q**k
+            if k:
+                assert counts[0] == 1
+
+
 
 
 class TestSkewMatArithmetic:

@@ -403,6 +403,8 @@ class TestFindMsrd:
         (4, 5, 2, 1, 2000): "954270220345f4c6",
         (8, 4, 2, 0, 300): None,
         (9, 4, 2, 0, 300): None,
+        # no (17,4,2) code exists, by Chevalley-Warning as at (2,4,2)
+        (17, 4, 2, 0, 300): None,
     }
 
     @staticmethod
@@ -439,8 +441,8 @@ class TestFindMsrd:
         monkeypatch.setattr(gfcodes, "_RANK_TABLES", {})
         monkeypatch.setattr(gfcodes, "_alt_rank",
                             lambda *args: pytest.fail("_alt_rank"))
-        monkeypatch.setattr(moments, "_span_ranks",
-                            lambda *args: pytest.fail("_span_ranks"))
+        monkeypatch.setattr(gfcodes, "_word_blocks",
+                            lambda *args: pytest.fail("_word_blocks"))
         q, t, d, seed, budget = case
         code = find_msrd(SchemeParams(q, t), d, budget=budget, seed=seed)
         assert self._digest(code) == self.PINNED_UNTABLED[case]
@@ -454,11 +456,33 @@ class TestFindMsrd:
         monkeypatch.setattr(gfcodes, "_RANK_TABLES", {})
         monkeypatch.setattr(gfcodes, "_alt_rank",
                             lambda *args: pytest.fail("_alt_rank"))
-        monkeypatch.setattr(moments, "_span_ranks",
-                            lambda *args: pytest.fail("_span_ranks"))
+        monkeypatch.setattr(gfcodes, "_word_blocks",
+                            lambda *args: pytest.fail("_word_blocks"))
         q, t, d, seed, budget = case
         code = find_msrd(SchemeParams(q, t), d, budget=budget, seed=seed)
         assert self._digest(code) == self.PINNED_UNTABLED[case]
+
+    def test_q17_without_table_ranks_word_by_word(self, monkeypatch):
+        # above the cap every q >= 17 coset is ranked a word at a time by
+        # _alt_rank, none in lanes
+        monkeypatch.setattr(gfcodes, "_RANK_TABLE_CAP", 0)
+        monkeypatch.setattr(gfcodes, "_RANK_TABLES", {})
+        for lanes in ("_bit_blocks", "_byte_blocks"):
+            monkeypatch.setattr(gfcodes, lanes,
+                                lambda *args, name=lanes: pytest.fail(name))
+        calls, real = 0, gfcodes._alt_rank
+
+        def counted(*args):
+            nonlocal calls
+            calls += 1
+            return real(*args)
+
+        monkeypatch.setattr(gfcodes, "_alt_rank", counted)
+        case = (17, 4, 2, 0, 300)
+        q, t, d, seed, budget = case
+        code = find_msrd(SchemeParams(q, t), d, budget=budget, seed=seed)
+        assert self._digest(code) == self.PINNED_UNTABLED[case]
+        assert calls > 0
 
     def test_budget_exhaustion_returns_none(self):
         assert find_msrd(P24, 2, budget=400, seed=0) is None
@@ -468,8 +492,8 @@ class TestFindMsrd:
         # cand + span(basis): at most q^|basis| words, not the grown span;
         # without a table every q here counts the words of its lane blocks
         walks = []
-        monkeypatch.setattr(moments, "_span_ranks",
-                            lambda *args: pytest.fail("_span_ranks"))
+        monkeypatch.setattr(gfcodes, "_word_blocks",
+                            lambda *args: pytest.fail("_word_blocks"))
         if mode == "no-table":
             monkeypatch.setattr(gfcodes, "_RANK_TABLE_CAP", 0)
             monkeypatch.setattr(gfcodes, "_RANK_TABLES", {})

@@ -163,6 +163,50 @@ def test_rank_tables_read_only_by_rank_table():
     assert not found, f"_RANK_TABLES or its key outside rank_table: {found}"
 
 
+def _q_cuts(tree) -> list[str]:
+    """Functions other than _lane_blocks that compare q, a name q or an
+    attribute .q, with the literal 2 or 16."""
+    return [
+        fn.name
+        for fn in ast.walk(tree)
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and fn.name != "_lane_blocks"
+        and any(
+            isinstance(node, ast.Compare)
+            and any(_names(x, "q") for x in [node.left, *node.comparators])
+            and any(isinstance(x, ast.Constant) and x.value in (2, 16)
+                    and type(x.value) is int
+                    for x in [node.left, *node.comparators])
+            for node in ast.walk(fn)
+        )
+    ]
+
+
+def test_untabled_ranker_chosen_only_by_lane_blocks():
+    # _lane_blocks is the one entry for every space with no table, so the
+    # cut between bit lanes, byte lanes and single words is made there; a
+    # caller testing q itself would be a second copy of that rule
+    for bad in ("def f(field):\n    if field.q <= 16:\n        pass",
+                "def g(q):\n    return 2 < q <= 16",
+                "def h(q):\n    return 16 >= q",
+                "def k(f):\n    return [x for x in f if x.q == 2]"):
+        assert _q_cuts(ast.parse(bad)), bad
+    for good in ("def _lane_blocks(p, field, rows, start=()):\n"
+                 "    if field.q == 2:\n        pass\n"
+                 "    if field.q <= 16:\n        pass",
+                 "def f(p):\n    return p == 2",
+                 "def g(q):\n    return q ** 16, q > 17, q == 2.0",
+                 "def h(field):\n    return field.p == 2"):
+        assert not _q_cuts(ast.parse(good)), good
+    found = []
+    for path in sorted(SRC.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        found += [f"{path.name}:{name}" for name in _q_cuts(tree)]
+    # factor_prime_power's input check, q < 2, is no ranker choice
+    found = [x for x in found if x != "qcombinat.py:factor_prime_power"]
+    assert not found, f"q compared with 2 or 16 outside _lane_blocks: {found}"
+
+
 _CACHES = {"cache", "lru_cache"}
 
 
