@@ -668,6 +668,21 @@ def weight_distribution(code: LinearCode,
     return WeightDist(params, (1, *(multiples * c for c in ranked[1:])))
 
 
+def _rank_below(params: SchemeParams, field: FieldSpec, rows, d: int):
+    """A test on a word w: does w + span(rows) hold a word of skew rank
+    below d?  With a table it reads the coset by one _RowWalk, set up here
+    so that no elimination runs per word; with none it ranks the coset by
+    _lane_blocks.  It stops at the first batch or block holding a rank
+    below d."""
+    tbl = rank_table(params, field)
+    if tbl is None:
+        rows = tuple(rows)
+        return lambda w: any(any(block[:d]) for block
+                             in _lane_blocks(params, field, rows, w))
+    walk = _RowWalk(params, field, tbl, rows)
+    return lambda w: any(map(d.__gt__, map(min, walk.coset(w))))
+
+
 # _lane_blocks ranks a coset in blocks of at most 2^_LANE_BITS words, so each
 # entry's int is at most 2 KiB at q = 2 and 16 KiB at 2 < q <= 16.  Measured
 # on a 2-core host (Python 3.11, -O, one random code each) with q = 2 blocks
@@ -683,7 +698,7 @@ def _lane_blocks(params: SchemeParams, field: FieldSpec, rows, start=()):
     The blocks partition the q^k words of start + span(rows).  Each block
     is a sequence of counts by skew rank, at most n + 1 long, and is ranked
     as the caller asks for it, so a caller may stop after any block:
-    weight_distribution sums them all, and find_msrd stops at the first
+    weight_distribution sums them all, and _rank_below stops at the first
     with a rank below d.  q = 2 goes to bit lanes (_bit_blocks), 2 < q <= 16
     to byte lanes (_byte_blocks), and q >= 17, where a byte cannot hold two
     labels, one word at a time (_word_blocks).
@@ -703,12 +718,11 @@ def _bit_blocks(params: SchemeParams, rows, start):
     lane w.  The first block is start + span(rows[:b]): entry e starts as
     all ones where start is 1, else 0, and bit w of inner row r's lane mask
     is bit r of w, XORed into the entries where row r is 1.  The other
-    blocks are its cosets, walked over the outer rows rows[b:] in Gray
-    order: a step XORs all ones into the entries where its row is 1, and
-    _lane_pivots ranks each block.
+    blocks are its cosets, walked over the outer rows rows[b:] by
+    _gray_steps: a step XORs all ones into the entries where its row is 1,
+    and _lane_pivots ranks each block.
     """
-    k = len(rows)
-    b = min(k, _LANE_BITS)
+    b = min(len(rows), _LANE_BITS)
     ones = (1 << (1 << b)) - 1
     entries = [ones * v for v in start] or [0] * params.num_coords
     for r, row in enumerate(rows[:b]):
@@ -716,10 +730,10 @@ def _bit_blocks(params: SchemeParams, rows, start):
         mask = ones // ((1 << 2 * run) - 1) * (((1 << run) - 1) << run)
         entries = [x ^ mask if v else x for x, v in zip(entries, row)]
     supports = [[e for e, v in enumerate(row) if v] for row in rows[b:]]
-    for s in range(1 << k - b):
-        if s:
-            for e in supports[(s & -s).bit_length() - 1]:
-                entries[e] ^= ones
+    yield _lane_pivots(entries, params.t, ones)
+    for r in _gray_steps(2, len(supports)):
+        for e in supports[r]:
+            entries[e] ^= ones
         yield _lane_pivots(entries, params.t, ones)
 
 
@@ -810,9 +824,9 @@ def _byte_blocks(params: SchemeParams, field: FieldSpec, rows, start):
     w = sum_r c_r q^r, built entry by entry: after r rows the q^r lanes are
     x, and row r appends x + c g for c = 1..q-1, g its entry, one translate
     each.  The other blocks are its cosets, walked over the F_p-basis of
-    the outer rows rows[b:] (_fp_basis) in modular p-ary Gray order, as in
-    _word_blocks: a step adds its vector to every lane, one translate per
-    entry of its support.  _byte_pivots ranks each block.
+    the outer rows rows[b:] (_fp_basis) by _gray_steps: a step adds its
+    vector to every lane, one translate per entry of its support.
+    _byte_pivots ranks each block.
     """
     q, p, mul = field.q, field.p, field._mul
     adds = _lane_ops(field)[0]
@@ -829,14 +843,10 @@ def _byte_blocks(params: SchemeParams, field: FieldSpec, rows, start):
         entries.append(x)
     supports = [[(e, adds[g]) for e, g in enumerate(vec) if g]
                 for vec in _fp_basis(rows[b:], field)]
-    for s in range(p ** len(supports)):
-        if s:
-            r = 0
-            while not s % p:
-                s //= p
-                r += 1
-            for e, shift in supports[r]:
-                entries[e] = entries[e].translate(shift)
+    yield _byte_pivots(entries, params.t, field)
+    for r in _gray_steps(p, len(supports)):
+        for e, shift in supports[r]:
+            entries[e] = entries[e].translate(shift)
         yield _byte_pivots(entries, params.t, field)
 
 
@@ -924,16 +934,15 @@ def _word_blocks(params: SchemeParams, field: FieldSpec, rows, start):
     """_lane_blocks at q >= 17, each word ranked by _alt_rank.
 
     From a start word, one one-hot block per word of start + span(rows), so
-    that find_msrd stops at the first word of rank below d.  From zero, [1]
+    that _rank_below stops at the first word of rank below d.  From zero, [1]
     for the zero word, then one block per coset rows[i] + span(rows[i+1:]),
     i = 0..k-1, its counts times q - 1: the cosets hold one word on each
     line through zero, (q^k - 1)/(q - 1) in all, and the other words of a
     line are its nonzero multiples, which have the same skew rank.
 
     A coset is walked over the F_p-basis of its span, each row times x^j
-    for j < e (x^j is the integer p^j), in modular p-ary Gray order (Knuth,
-    TAOCP 4A, 7.2.1.1): its first word, then step s = 1..p^m - 1 adds basis
-    vector number v_p(s).  The vectors are _fp_basis(rows), last row first:
+    for j < e (x^j is the integer p^j), by _gray_steps from its first word.
+    The vectors are _fp_basis(rows), last row first:
     span(rows[i+1:]) is spanned by the first m = (k-1-i)e of them and
     rows[i] is vector number m, so the step data are built once per call
     and each coset runs the step loop on a prefix.  The walk carries the
@@ -955,11 +964,7 @@ def _word_blocks(params: SchemeParams, field: FieldSpec, rows, start):
         for row, first in zip(mat, _alt_rows(t, field, word, pos)):
             row[:] = first
         yield _alt_rank(mat, t, field)
-        for s in range(1, p**m):
-            r = 0
-            while not s % p:
-                s //= p
-                r += 1
+        for r in _gray_steps(p, m):
             for row_i, j, up, row_j, i, down in steps[r]:
                 row_i[j] = up[row_i[j]]
                 row_j[i] = down[row_j[i]]
@@ -977,6 +982,19 @@ def _word_blocks(params: SchemeParams, field: FieldSpec, rows, start):
         for r in ranks(vectors[m], m):
             block[r] += multiples
         yield block
+
+
+def _gray_steps(p: int, m: int):
+    """v_p(s) for s = 1 .. p^m - 1, the steps of the modular p-ary Gray
+    walk over F_p^m (Knuth, TAOCP 4A, 7.2.1.1): from a first word, step s
+    adds basis vector number v_p(s), and the walk meets each word of the
+    first word + span of the m vectors once."""
+    for s in range(1, p**m):
+        r = 0
+        while not s % p:
+            s //= p
+            r += 1
+        yield r
 
 
 def _fp_basis(rows, field: FieldSpec) -> list:
@@ -1018,12 +1036,6 @@ def _chunk_sums(field: FieldSpec) -> tuple[int, int, list[bytes]]:
     return layout
 
 
-# _RowWalk eliminates on the rows outside C_in only when they span more
-# words than this: below it, the batches an elimination could merge cost
-# less than the elimination
-_SPLIT_WORDS = 64
-
-
 class _RowWalk:
     """span(rows) in a tabled space, ranked one table row at a time.
 
@@ -1038,21 +1050,20 @@ class _RowWalk:
     span(outer) + C_in, and the walk needs only that the inner rows be zero
     in the high coordinates: rows that are go to C_in.  When the other rows
     outnumber the high coordinates, some combination of them must vanish
-    there; if they also span more than _SPLIT_WORDS words, they go through
-    one _rref on the reversed rows, which takes pivots from the highest
-    coordinate down: the rows pivoted in the high coordinates are `outer`,
-    and the rest, zero there, join C_in, which then has dimension
-    k - rank(high part), the most any split gives.  x holds the low chunks
-    of the words of C_in, at most q^c <= 256 bytes, built over its
-    F_p-basis by translate-doubling, last row first, so that x[:p^m] is the
-    span of the first m vectors of that basis.  For a word y the ranks of
-    y + C_in are
+    there, and they go through one _rref on the reversed rows, which takes
+    pivots from the highest coordinate down: the rows pivoted in the high
+    coordinates are `outer`, and the rest, zero there, join C_in, which
+    then has dimension k - rank(high part), the most any split gives.  x
+    holds the low chunks of the words of C_in, at most q^c <= 256 bytes,
+    built over its F_p-basis by translate-doubling, last row first, so that
+    x[:p^m] is the span of the first m vectors of that basis.  For a word y
+    the ranks of y + C_in are
 
         x.translate(sums[low(y)]).translate(table row high(y)),
 
-    one batch of q^dim C_in ranks for two calls.  The words y are walked as
-    in _word_blocks, over the F_p-basis of `outer`, each step updating y's
-    three chunk values by one lookup each in the step vector's sum tables.
+    one batch of q^dim C_in ranks for two calls.  The words y are walked by
+    _gray_steps over the F_p-basis of `outer`, each step updating y's three
+    chunk values by one lookup each in the step vector's sum tables.
     """
 
     __slots__ = ("p", "e", "width", "sums", "tbl", "places", "x", "vectors",
@@ -1070,7 +1081,7 @@ class _RowWalk:
         inner = [row for row in rows if not any(row[c:])]
         outer = [row for row in rows if any(row[c:])]
         nhigh = params.num_coords - c
-        if len(outer) > nhigh and q ** len(outer) > _SPLIT_WORDS:
+        if len(outer) > nhigh:
             red, pivots = _rref([row[::-1] for row in outer], field)
             inner += [r[::-1] for r, pc in zip(red, pivots) if pc >= nhigh]
             outer = [r[::-1] for r, pc in zip(red, pivots) if pc < nhigh]
@@ -1110,23 +1121,19 @@ class _RowWalk:
 
     def _batches(self, walks):
         """For each (start, m) of walks, the ranks of y + C_in, one batch per
-        y in start + span_F_p(vectors[:m]), in p-ary Gray order."""
+        y in start + span_F_p(vectors[:m]), walked by _gray_steps."""
         sums, steps, p, x = self.sums, self.steps, self.p, self.x
         width, tbl = self.width, self.tbl
         for (low, c1, c2), m in walks:
-            for s in range(p**m):
-                if s:
-                    r = 0
-                    while not s % p:
-                        s //= p
-                        r += 1
-                    s0, s1, s2 = steps[r]
-                    low, c1, c2 = s0[low], s1[c1], s2[c2]
+            at = width * (c1 + width * c2)
+            yield x.translate(sums[low]).translate(
+                tbl[at:at + 256].ljust(256, b"\0"))
+            for r in _gray_steps(p, m):
+                s0, s1, s2 = steps[r]
+                low, c1, c2 = s0[low], s1[c1], s2[c2]
                 at = width * (c1 + width * c2)
-                row = tbl[at:at + 256]
-                if len(row) < 256:
-                    row = row.ljust(256, b"\0")
-                yield x.translate(sums[low]).translate(row)
+                yield x.translate(sums[low]).translate(
+                    tbl[at:at + 256].ljust(256, b"\0"))
 
 
 def min_distance(code: LinearCode, budget: int = DEFAULT_BUDGET) -> int:

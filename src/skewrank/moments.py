@@ -20,12 +20,10 @@ from .gfcodes import (
     LinearCode,
     SchemeParams,
     WeightDist,
-    _RowWalk,
-    _lane_blocks,
+    _rank_below,
     full_space_code,
     make_field,
     min_distance,
-    rank_table,
 )
 from .qcombinat import _qpow, gamma, gauss, sigma
 
@@ -84,6 +82,8 @@ def check_first_moment(
     lhs = sum_{i<=n-phi} [n-i, phi] c_i,
     rhs = q^{m(n-phi)}/|C'| * sum_{i<=phi} [n-i, n-phi] c'_i.
     """
+    if w.params != params or w_dual.params != params:
+        raise ValueError("distribution and params disagree")
     q, n, m = params.q, params.n, params.m
     if not 0 <= phi <= n:
         raise ValueError(f"phi={phi} out of range 0..{n}")
@@ -108,6 +108,8 @@ def check_second_moment(
     rhs = q^{k - m phi} sum_{i<=phi} (-1)^i q^{2 sigma_i + 2i(phi-i)}
           [n-i, n-phi] gamma(m-2i, phi-i) c'_i.
     """
+    if w.params != params or w_dual.params != params:
+        raise ValueError("distribution and params disagree")
     q, n, m = params.q, params.n, params.m
     if not 0 <= phi <= n:
         raise ValueError(f"phi={phi} out of range 0..{n}")
@@ -154,6 +156,8 @@ def corollary_bounds(
     every phi qualifies); diameter_dual bounds the second clause.  Only the
     primal distribution is consulted.
     """
+    if w.params != params:
+        raise ValueError("distribution and params disagree")
     q, n, m = params.q, params.n, params.m
     size = w.size
     whole = q ** (m * n)
@@ -320,12 +324,8 @@ def find_msrd(
     basis only if every word of cand + span(basis) keeps skew rank >= d.
     That coset covers the whole grown span: a new word c cand + w with
     c != 0 is c (cand + w / c), and a nonzero multiple keeps the skew rank
-    (a candidate already in the span meets the zero word).  In a tabled
-    space it is read from the table by _RowWalk.coset, a batch of ranks at
-    a time, from a walk over the basis set up again only when a candidate
-    joins, so that no elimination runs per candidate.  Above the cap it is
-    ranked by _lane_blocks started at cand, and the check stops at the
-    first block that holds a rank below d.
+    (a candidate already in the span meets the zero word).  The coset test
+    is gfcodes' _rank_below, built again only when a candidate joins.
     Returns None once `budget` candidate samples are spent (existence is a
     property of the parameters, not of this search).
     """
@@ -342,27 +342,20 @@ def find_msrd(
         return full_space_code(params, field)
 
     ncoords = params.num_coords
-    tbl = rank_table(params, field)
     rng = random.Random(seed)
     samples = 0
     while samples < budget:
         basis: list[tuple[int, ...]] = []
-        walk = None if tbl is None else _RowWalk(params, field, tbl, basis)
+        rank_below = _rank_below(params, field, basis, d)
         stuck = 0
         while len(basis) < k_target and samples < budget:
             cand = tuple(rng.randrange(q) for _ in range(ncoords))
             samples += 1
             if not any(cand):
                 continue
-            if walk is None:
-                rejected = any(any(block[:d]) for block
-                               in _lane_blocks(params, field, basis, cand))
-            else:
-                rejected = any(map(d.__gt__, map(min, walk.coset(cand))))
-            if not rejected:
+            if not rank_below(cand):
                 basis.append(cand)
-                if walk is not None:
-                    walk = _RowWalk(params, field, tbl, basis)
+                rank_below = _rank_below(params, field, basis, d)
                 stuck = 0
             else:
                 stuck += 1

@@ -5,8 +5,9 @@ from itertools import combinations
 
 import pytest
 
-from skewrank import gfcodes, moments
+from skewrank import gfcodes
 from skewrank.gfcodes import (
+    WeightDist,
     dual,
     full_space_code,
     make_field,
@@ -92,6 +93,24 @@ class TestMomentIdentities:
         with pytest.raises(ValueError):
             check_second_moment(rep.dist, rep.dual_dist_enum, 1, 3, P34)
 
+    def test_first_moment_refuses_another_scheme(self):
+        # 8 * 128 words fill the (2,5) space, so only the params check can
+        # refuse these
+        w = msrd_distribution(P24, 2)
+        other = WeightDist(P25, (1, 0, 127))
+        with pytest.raises(ValueError, match="params disagree"):
+            check_first_moment(w, other, 1, P25)
+        with pytest.raises(ValueError, match="params disagree"):
+            check_first_moment(other, w, 1, P25)
+
+    def test_second_moment_refuses_another_scheme(self):
+        # the sizes agree here, so only the params check can refuse it
+        w = msrd_distribution(P24, 2)
+        with pytest.raises(ValueError, match="params disagree"):
+            check_second_moment(w, w, 1, 3, P25)
+        with pytest.raises(ValueError, match="params disagree"):
+            check_second_moment(msrd_distribution(P25, 2), w, 1, 5, P25)
+
 
 class TestCorollaries:
     def test_full_space_vacuous_dual(self):
@@ -99,6 +118,11 @@ class TestCorollaries:
         w = weight_distribution(full_space_code(P34, f))
         checks = corollary_bounds(w, P34, None, 0)
         assert checks and all(c.ok for c in checks)
+
+    def test_refuses_another_scheme(self):
+        w = msrd_distribution(P24, 2)
+        with pytest.raises(ValueError, match="params disagree"):
+            corollary_bounds(w, P25, 2, 2)
 
     def test_msrd_code_corollaries(self):
         code = find_msrd(P25, 2, seed=3)
@@ -497,7 +521,7 @@ class TestFindMsrd:
         if mode == "no-table":
             monkeypatch.setattr(gfcodes, "_RANK_TABLE_CAP", 0)
             monkeypatch.setattr(gfcodes, "_RANK_TABLES", {})
-            real_lanes = moments._lane_blocks
+            real_lanes = gfcodes._lane_blocks
 
             def counted_lanes(params, field, rows, start):
                 walks.append([field.q ** len(rows), 0])
@@ -505,7 +529,7 @@ class TestFindMsrd:
                     walks[-1][1] += sum(block)
                     yield block
 
-            monkeypatch.setattr(moments, "_lane_blocks", counted_lanes)
+            monkeypatch.setattr(gfcodes, "_lane_blocks", counted_lanes)
         else:
             real = gfcodes._RowWalk.coset
 

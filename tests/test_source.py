@@ -207,6 +207,46 @@ def test_untabled_ranker_chosen_only_by_lane_blocks():
     assert not found, f"q compared with 2 or 16 outside _lane_blocks: {found}"
 
 
+_RANKERS = {"rank_table", "_RowWalk", "_lane_blocks"}
+
+
+def _ranker_names(tree) -> list[int]:
+    """Lines that name rank_table, _RowWalk or _lane_blocks, as a name, an
+    attribute or an import."""
+    return [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and node.id in _RANKERS
+        or isinstance(node, ast.Attribute) and node.attr in _RANKERS
+        or isinstance(node, ast.ImportFrom)
+        and any(a.name in _RANKERS for a in node.names)
+    ]
+
+
+def test_rankers_named_only_in_gfcodes():
+    # gfcodes alone chooses between the table and the lanes; a module
+    # reaching for either would make that choice a second time
+    for bad in ("from .gfcodes import DEFAULT_BUDGET, rank_table",
+                "tbl = rank_table(p, f)",
+                "walk = gfcodes._RowWalk(p, f, tbl, rows)",
+                "any(map(any, gfcodes._lane_blocks(p, f, rows, w)))"):
+        assert _ranker_names(ast.parse(bad)), bad
+    for good in ("from .gfcodes import _rank_below, rank_census",
+                 "below = _rank_below(p, f, rows, d)",
+                 "name = 'rank_table'"):
+        assert not _ranker_names(ast.parse(good)), good
+    moments = (SRC / "moments.py").read_text(encoding="utf-8")
+    planted = moments + "\n\ntbl = rank_table(params, field)\n"
+    assert planted.count("\n") in _ranker_names(ast.parse(planted))
+    found = []
+    for path in sorted(SRC.rglob("*.py")):
+        if path.name != "gfcodes.py":
+            tree = ast.parse(path.read_text(encoding="utf-8"),
+                             filename=str(path))
+            found += [f"{path.name}:{line}" for line in _ranker_names(tree)]
+    assert not found, f"rankers named outside gfcodes: {found}"
+
+
 _CACHES = {"cache", "lru_cache"}
 
 
