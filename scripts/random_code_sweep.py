@@ -3,9 +3,10 @@
 
 For each (q, t) pair this verifies that the brute-force dual distribution,
 the eigenmatrix transform, and the functional transform agree exactly, and
-that both moment identities hold for every phi. A code whose own or dual
-enumeration exceeds the budget is reported as skipped, with both dimensions,
-and the sweep goes on; only a mismatch makes the exit status non-zero.
+that both moment identities and their corollaries hold for every phi. A
+code whose own or dual enumeration exceeds the budget is reported as
+skipped, with both dimensions, and the sweep goes on; only a mismatch makes
+the exit status non-zero.
 
     python scripts/random_code_sweep.py --count 50 --seed 7
     python scripts/random_code_sweep.py --pairs 2,4 3,5

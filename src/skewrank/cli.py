@@ -124,14 +124,6 @@ def cmd_moments(args: argparse.Namespace) -> int:
     ddist = gfcodes.weight_distribution(gfcodes.dual(code), args.budget)
     phis = range(params.n + 1) if args.phi is None else [args.phi]
     checks = moments.moment_checks(dist, ddist, code.k, phis, params)
-    # the dual's minimum distance (None for the zero code) and diameter
-    present = [i for i, c in enumerate(ddist.counts) if c]
-    d_dual = present[1] if len(present) > 1 else None
-    checks += [
-        chk
-        for chk in moments.corollary_bounds(dist, params, d_dual, present[-1])
-        if chk.phi in phis
-    ]
     ok = all(chk.ok for chk in checks)
     _emit(
         args.format,

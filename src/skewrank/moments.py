@@ -74,6 +74,22 @@ def _gamma_sum(counts, phi: int, q: int, n: int, m: int):
     return total
 
 
+def _pair_sizes(
+    w: WeightDist, w_dual: WeightDist, phi: int, params: SchemeParams
+) -> tuple[int, int]:
+    """(|C|, |C'|); ValueError unless both are of params, |C| |C'| = q^{mn}
+    and 0 <= phi <= n."""
+    if w.params != params or w_dual.params != params:
+        raise ValueError("distribution and params disagree")
+    q, n, m = params.q, params.n, params.m
+    if not 0 <= phi <= n:
+        raise ValueError(f"phi={phi} out of range 0..{n}")
+    size, dual_size = w.size, w_dual.size
+    if size * dual_size != q ** (m * n):
+        raise ValueError("sizes do not multiply to the whole space")
+    return size, dual_size
+
+
 def check_first_moment(
     w: WeightDist, w_dual: WeightDist, phi: int, params: SchemeParams
 ) -> tuple[Fraction, Fraction]:
@@ -82,16 +98,11 @@ def check_first_moment(
     lhs = sum_{i<=n-phi} [n-i, phi] c_i,
     rhs = q^{m(n-phi)}/|C'| * sum_{i<=phi} [n-i, n-phi] c'_i.
     """
-    if w.params != params or w_dual.params != params:
-        raise ValueError("distribution and params disagree")
+    _, dual_size = _pair_sizes(w, w_dual, phi, params)
     q, n, m = params.q, params.n, params.m
-    if not 0 <= phi <= n:
-        raise ValueError(f"phi={phi} out of range 0..{n}")
-    if w.size * w_dual.size != q ** (m * n):
-        raise ValueError("sizes do not multiply to the whole space")
     # the dual side is the same sum at n - phi
     rhs = _first_sum(w_dual.counts, n - phi, q, n)
-    rhs *= Fraction(q ** (m * (n - phi)), w_dual.size)
+    rhs *= Fraction(q ** (m * (n - phi)), dual_size)
     return _first_sum(w.counts, phi, q, n), rhs
 
 
@@ -102,19 +113,16 @@ def check_second_moment(
     k_dim: int,
     params: SchemeParams,
 ) -> tuple[Fraction, Fraction]:
-    """Both sides of the second moment identity.
+    """Both sides of the second moment identity for a code of q^k_dim words.
 
     lhs = sum_{i>=phi} q^{2 phi (n-i)} [i, phi] c_i,
     rhs = q^{k - m phi} sum_{i<=phi} (-1)^i q^{2 sigma_i + 2i(phi-i)}
           [n-i, n-phi] gamma(m-2i, phi-i) c'_i.
     """
-    if w.params != params or w_dual.params != params:
-        raise ValueError("distribution and params disagree")
+    size, _ = _pair_sizes(w, w_dual, phi, params)
     q, n, m = params.q, params.n, params.m
-    if not 0 <= phi <= n:
-        raise ValueError(f"phi={phi} out of range 0..{n}")
-    if q**k_dim != w.size:
-        raise ValueError(f"q^{k_dim} != code size {w.size}")
+    if q**k_dim != size:
+        raise ValueError(f"q^{k_dim} != code size {size}")
     rhs = _gamma_sum(w_dual.counts, phi, q, n, m) * _qpow(q, k_dim - m * phi)
     return _second_sum(w.counts, phi, q, n), rhs
 
@@ -133,14 +141,24 @@ class MomentCheck:
 
 def moment_checks(w: WeightDist, w_dual: WeightDist, k_dim: int,
                   phis: Iterable[int], params: SchemeParams) -> list[MomentCheck]:
-    """The first and then the second moment identity at each phi in turn."""
-    return [
+    """The first and then the second moment identity at each phi in turn,
+    then corollary_bounds at those phis, with the dual's minimum distance
+    (None for the zero code) and diameter read off w_dual."""
+    phis = list(phis)
+    checks = [
         MomentCheck(name, phi, *sides)
         for phi in phis
         for name, sides in (
             ("first_moment", check_first_moment(w, w_dual, phi, params)),
             ("second_moment", check_second_moment(w, w_dual, phi, k_dim, params)),
         )
+    ]
+    present = [i for i, c in enumerate(w_dual.counts) if c]
+    d_dual = present[1] if len(present) > 1 else None
+    return checks + [
+        chk
+        for chk in corollary_bounds(w, params, d_dual, present[-1])
+        if chk.phi in phis
     ]
 
 
@@ -154,32 +172,27 @@ def corollary_bounds(
 
     d_dual is the dual minimum distance (None for the zero-code dual, where
     every phi qualifies); diameter_dual bounds the second clause.  Only the
-    primal distribution is consulted.
+    primal distribution is consulted; it must have q^k words, k <= mn.
     """
     if w.params != params:
         raise ValueError("distribution and params disagree")
     q, n, m = params.q, params.n, params.m
     size = w.size
-    whole = q ** (m * n)
-    if whole % size:
-        raise ValueError("code size does not divide the whole space")
-    dual_size = whole // size
     k_dim = 0
     while q**k_dim < size:
         k_dim += 1
-    if q**k_dim != size:
-        raise ValueError(f"code size {size} is not a power of q={q}")
+    if q**k_dim != size or k_dim > m * n:
+        raise ValueError(f"code size {size} is not q^k for any k <= {m * n}")
 
     checks: list[MomentCheck] = []
     for phi in range(n + 1):
         if d_dual is None or phi < d_dual:
+            # q^{m(n-phi)} / |C'| = q^{k - m phi}
+            rhs = _qpow(q, k_dim - m * phi) * gauss(q, n, phi)
             lhs = _first_sum(w.counts, phi, q, n)
-            rhs = Fraction(q ** (m * (n - phi)), dual_size) * gauss(q, n, phi)
             checks.append(MomentCheck("first_moment_low_phi", phi, lhs, rhs))
             lhs2 = _second_sum(w.counts, phi, q, n)
-            rhs2 = (
-                _qpow(q, k_dim - m * phi) * gauss(q, n, phi) * gamma(q, m, phi)
-            )
+            rhs2 = rhs * gamma(q, m, phi)
             checks.append(MomentCheck("second_moment_low_phi", phi, lhs2, rhs2))
         if diameter_dual < phi <= n:
             lhs3 = _gamma_sum(w.counts, phi, q, n, m)

@@ -333,10 +333,6 @@ class TestSubcommands:
     def test_unknown_subcommand(self, capsys):
         assert main(["frobnicate"]) == 2
 
-    def test_bad_threads(self, capsys):
-        code, _ = run_cli(capsys, "wdist", "--code", EXAMPLE, "--threads", "0")
-        assert code == 2
-
 
 class TestFlags:
     @pytest.mark.parametrize(
@@ -346,6 +342,7 @@ class TestFlags:
             ["krawtchouk", "--q", "3", "--t", "4", "--code", EXAMPLE],
             ["dual", "--code", EXAMPLE, "--budget", "10"],
             ["selftest", "--phi", "1"],
+            ["wdist", "--code", EXAMPLE, "--threads", "0"],  # no command has it
         ],
     )
     def test_flag_of_another_subcommand_is_usage_error(self, capsys, argv):
@@ -403,12 +400,7 @@ class TestSelftestCommand:
 
 class TestProcessInvocation:
     def test_module_entry_point(self):
-        proc = subprocess.run(
-            [sys.executable, "-m", "skewrank.cli", "wdist", "--code", EXAMPLE],
-            capture_output=True,
-            text=True,
-            timeout=60,
-        )
+        proc = run_process("-m", "skewrank.cli", "wdist", "--code", EXAMPLE)
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["dist"] == ["1", "44", "36"]
 

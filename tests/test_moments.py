@@ -26,6 +26,7 @@ from skewrank.moments import (
     forward_sequence,
     invert_sequence,
     is_msrd,
+    moment_checks,
     msrd_distribution,
 )
 from skewrank.qcombinat import SchemeParams, _qpow, gamma, gauss, sigma, xi
@@ -111,6 +112,55 @@ class TestMomentIdentities:
         with pytest.raises(ValueError, match="params disagree"):
             check_second_moment(msrd_distribution(P25, 2), w, 1, 5, P25)
 
+    def test_second_moment_refuses_a_pair_overfilling_the_space(self):
+        # 32 * 128 words are four times the (2,5) space; |C| = 2^5 holds
+        w, w_dual = msrd_distribution(P25, 2), WeightDist(P25, (1, 0, 127))
+        with pytest.raises(ValueError, match="sizes do not multiply"):
+            check_second_moment(w, w_dual, 1, 5, P25)
+        with pytest.raises(ValueError, match="sizes do not multiply"):
+            moment_checks(w, w_dual, 5, range(P25.n + 1), P25)
+
+
+class TestMomentChecks:
+    def test_identities_then_corollaries_at_the_given_phis(self, example_code):
+        rep = verify_code(example_code)
+        # the dual (1, 8, 0) has d' = diam' = 1: no corollary at phi = 1
+        checks = moment_checks(rep.dist, rep.dual_dist_enum, 4, [2, 0], P34)
+        assert [(c.name, c.phi) for c in checks] == [
+            ("first_moment", 2), ("second_moment", 2),
+            ("first_moment", 0), ("second_moment", 0),
+            ("first_moment_low_phi", 0), ("second_moment_low_phi", 0),
+            ("second_moment_high_phi", 2),
+        ]
+        assert all(c.ok for c in checks)
+
+    def test_phis_are_read_once(self, example_code):
+        rep = verify_code(example_code)
+        args = rep.dist, rep.dual_dist_enum, 4
+        assert moment_checks(*args, iter(range(3)), P34) == moment_checks(
+            *args, range(3), P34
+        )
+
+    # a field of every kind the enumerators treat apart: q = 4 with a rank
+    # table up to (4,5), byte lanes at (5,5), and odd and even q up to 9
+    @pytest.mark.parametrize(
+        "q, t", [(4, 4), (5, 4), (7, 4), (8, 4), (9, 4), (4, 5), (5, 5)]
+    )
+    def test_every_supported_field(self, q, t):
+        p = SchemeParams(q, t)
+        field = make_field(q)
+        rng = random.Random(100 * q + t)
+        nc = p.num_coords
+        # both sides of a few thousand words at most
+        dims = [k for k in range(nc + 1) if max(q**k, q ** (nc - k)) <= 5000]
+        for _ in range(3):
+            code = gfcodes.random_code(p, field, rng.choice(dims), rng)
+            w, w_dual = weight_distribution(code), weight_distribution(dual(code))
+            checks = moment_checks(w, w_dual, code.k, range(p.n + 1), p)
+            assert len(checks) > 2 * (p.n + 1)
+            for chk in checks:
+                assert chk.ok, (q, t, code.k, chk)
+
 
 class TestCorollaries:
     def test_full_space_vacuous_dual(self):
@@ -123,6 +173,12 @@ class TestCorollaries:
         w = msrd_distribution(P24, 2)
         with pytest.raises(ValueError, match="params disagree"):
             corollary_bounds(w, P25, 2, 2)
+
+    @pytest.mark.parametrize("counts", [(1, 0, 2), (1, 0, 127)])
+    def test_refuses_a_size_not_a_subspace(self, counts):
+        # 3 words are no power of 2; 2^7 words overfill the 2^6 space
+        with pytest.raises(ValueError, match="is not q\\^k for any k <= 6"):
+            corollary_bounds(WeightDist(P24, counts), P24, None, 0)
 
     def test_msrd_code_corollaries(self):
         code = find_msrd(P25, 2, seed=3)
