@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from pathlib import Path
 
 from . import gfcodes, homopoly, krawtchouk, macwilliams, moments
 from .gfcodes import CodeFormatError, EnumerationBudgetError
@@ -44,7 +43,8 @@ def _emit(fmt: str, params: SchemeParams | None = None, **fields) -> None:
 
 
 def _load_code(path: str) -> gfcodes.LinearCode:
-    return gfcodes.parse_code(Path(path).read_text(encoding="utf-8"))
+    with open(path, encoding="utf-8") as f:
+        return gfcodes.parse_code(f.read())
 
 
 def _dist_strs(counts) -> list[str]:

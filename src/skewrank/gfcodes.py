@@ -13,11 +13,10 @@ from __future__ import annotations
 
 import random
 import warnings
-from dataclasses import dataclass
 from itertools import islice, product
 from operator import mul
 
-from .qcombinat import SchemeParams, factor_prime_power, xi
+from .qcombinat import SchemeParams, _Record, factor_prime_power, xi
 
 DEFAULT_BUDGET = 1 << 26
 _RANK_TABLE_CAP = 1 << 20
@@ -473,19 +472,17 @@ def rank_census(params: SchemeParams, field: FieldSpec | None = None) -> list[in
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class WeightDist:
+class WeightDist(_Record):
     """Counts of codewords by skew rank, indices 0..n."""
 
-    params: SchemeParams
-    counts: tuple[int, ...]
+    __slots__ = ("params", "counts")
 
-    def __post_init__(self) -> None:
-        if len(self.counts) != self.params.n + 1:
-            raise ValueError(
-                f"need {self.params.n + 1} counts, got {len(self.counts)}"
-            )
-        if any(c < 0 for c in self.counts):
+    def __init__(self, params: SchemeParams, counts: tuple[int, ...]) -> None:
+        object.__setattr__(self, "params", params)
+        object.__setattr__(self, "counts", counts)
+        if len(counts) != params.n + 1:
+            raise ValueError(f"need {params.n + 1} counts, got {len(counts)}")
+        if any(c < 0 for c in counts):
             raise ValueError("negative count")
 
     @property

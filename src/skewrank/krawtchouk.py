@@ -24,12 +24,11 @@ scheme, and hands the same frozen matrix of int tuples to every caller.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb
 
-from .qcombinat import SchemeParams, gamma, gauss
+from .qcombinat import SchemeParams, _Record, gamma, gauss
 
 # how many schemes' eigenmatrices p_matrix keeps, least recently used first out
 _P_MATRIX_SCHEMES = 32
@@ -114,12 +113,15 @@ def matched_bc(params: SchemeParams) -> tuple[Fraction, Fraction]:
     return Fraction(q * q), c
 
 
-@dataclass(frozen=True)
-class KrawtchoukMatrix:
+class KrawtchoukMatrix(_Record):
     """Eigenmatrix with entries[x][k] = P_k(x, n); all integers."""
 
-    params: SchemeParams
-    entries: tuple[tuple[int, ...], ...]
+    __slots__ = ("params", "entries")
+
+    def __init__(self, params: SchemeParams,
+                 entries: tuple[tuple[int, ...], ...]) -> None:
+        object.__setattr__(self, "params", params)
+        object.__setattr__(self, "entries", entries)
 
     def row(self, x: int) -> tuple[int, ...]:
         return self.entries[x]

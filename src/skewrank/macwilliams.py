@@ -8,14 +8,13 @@ verifier runs both against the brute-force dual enumeration.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
 from .gfcodes import DEFAULT_BUDGET, LinearCode, WeightDist, dual, weight_distribution
 from .homopoly import HPoly, mu_power, nu_power, skew_q_product
 from .krawtchouk import p_matrix
-from .qcombinat import SchemeParams
+from .qcombinat import SchemeParams, _Record
 
 
 def _as_counts(w: WeightDist | list[int] | tuple[int, ...], code_size: int,
@@ -100,18 +99,25 @@ def transform_functional(w: WeightDist | list[int], code_size: int,
     return _finalize(raw, code_size, params)
 
 
-@dataclass(frozen=True)
-class VerifyReport:
+class VerifyReport(_Record):
     """Three-way MacWilliams cross-check for one code."""
 
-    params: SchemeParams
-    k: int
-    dual_k: int
-    dist: WeightDist
-    dual_dist_enum: WeightDist
-    dual_dist_matrix: WeightDist
-    dual_dist_functional: WeightDist
-    size_product_ok: bool
+    __slots__ = ("params", "k", "dual_k", "dist", "dual_dist_enum",
+                 "dual_dist_matrix", "dual_dist_functional", "size_product_ok")
+
+    def __init__(self, params: SchemeParams, k: int, dual_k: int,
+                 dist: WeightDist, dual_dist_enum: WeightDist,
+                 dual_dist_matrix: WeightDist,
+                 dual_dist_functional: WeightDist,
+                 size_product_ok: bool) -> None:
+        object.__setattr__(self, "params", params)
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "dual_k", dual_k)
+        object.__setattr__(self, "dist", dist)
+        object.__setattr__(self, "dual_dist_enum", dual_dist_enum)
+        object.__setattr__(self, "dual_dist_matrix", dual_dist_matrix)
+        object.__setattr__(self, "dual_dist_functional", dual_dist_functional)
+        object.__setattr__(self, "size_product_ok", size_product_ok)
 
     @property
     def mismatches(self) -> list[tuple[int, int, int, int]]:

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import random
 from collections.abc import Iterable
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .gfcodes import (
@@ -25,7 +24,7 @@ from .gfcodes import (
     make_field,
     min_distance,
 )
-from .qcombinat import _qpow, gamma, gauss, sigma
+from .qcombinat import _qpow, _Record, gamma, gauss, sigma
 
 # Candidate samples find_msrd draws before it gives up.
 SEARCH_BUDGET = 20000
@@ -127,12 +126,15 @@ def check_second_moment(
     return _second_sum(w.counts, phi, q, n), rhs
 
 
-@dataclass(frozen=True)
-class MomentCheck:
-    name: str
-    phi: int
-    lhs: Fraction
-    rhs: Fraction
+class MomentCheck(_Record):
+    __slots__ = ("name", "phi", "lhs", "rhs")
+
+    def __init__(self, name: str, phi: int, lhs: Fraction,
+                 rhs: Fraction) -> None:
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "phi", phi)
+        object.__setattr__(self, "lhs", lhs)
+        object.__setattr__(self, "rhs", rhs)
 
     @property
     def ok(self) -> bool:

@@ -11,8 +11,8 @@ rank.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from operator import attrgetter
 
 
 def factor_prime_power(q: int) -> tuple[int, int]:
@@ -34,8 +34,42 @@ def factor_prime_power(q: int) -> tuple[int, int]:
     return p, e
 
 
-@dataclass(frozen=True)
-class SchemeParams:
+class _Record:
+    """An immutable record of the two or more fields in its __slots__:
+    equal to a record of its own type with equal fields, hashed and printed
+    over them, and pickled through __init__.  A frozen dataclass would
+    import dataclasses, inspect, ast and dis, most of the import time."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls) -> None:
+        super().__init_subclass__()
+        cls._values = property(attrgetter(*cls.__slots__))
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._values == other._values
+
+    def __hash__(self) -> int:
+        return hash(self._values)
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}"
+                           for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self) -> tuple:
+        return type(self), self._values
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class SchemeParams(_Record):
     """Parameters (q, t) of the space of t x t alternating matrices over F_q.
 
     Derived: n = floor(t/2) is the maximum skew rank, and m = t(t-1)/(2n),
@@ -43,13 +77,14 @@ class SchemeParams:
     is driven by these four numbers.
     """
 
-    q: int
-    t: int
+    __slots__ = ("q", "t")
 
-    def __post_init__(self) -> None:
-        if self.t < 2:
-            raise ValueError(f"t={self.t} must be >= 2")
-        factor_prime_power(self.q)  # raises if q is not a prime power
+    def __init__(self, q: int, t: int) -> None:
+        object.__setattr__(self, "q", q)
+        object.__setattr__(self, "t", t)
+        if t < 2:
+            raise ValueError(f"t={t} must be >= 2")
+        factor_prime_power(q)  # raises if q is not a prime power
 
     @property
     def n(self) -> int:

@@ -110,9 +110,12 @@ class TestWdist:
         code, _ = run_cli(capsys, "wdist")
         assert code == 2
 
-    def test_missing_file_is_usage_error(self, capsys):
-        code, _ = run_cli(capsys, "wdist", "--code", "/nonexistent.skc")
-        assert code == 2
+    def test_missing_file_is_usage_error(self, capsys, tmp_path):
+        # a missing file and a directory are the two OSErrors of the read
+        for path in (tmp_path / "nonexistent.skc", tmp_path):
+            code = main(["wdist", "--code", str(path)])
+            assert code == 2
+            assert capsys.readouterr().err.startswith("error: ")
 
 
 class TestSubcommands:

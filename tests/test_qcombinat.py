@@ -1,3 +1,5 @@
+import copy
+import pickle
 from fractions import Fraction
 from math import comb
 
@@ -5,7 +7,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from skewrank.krawtchouk import gauss_base
+from skewrank.gfcodes import WeightDist
+from skewrank.krawtchouk import KrawtchoukMatrix, gauss_base
+from skewrank.macwilliams import VerifyReport
+from skewrank.moments import MomentCheck
 from skewrank.qcombinat import (
     SchemeParams,
     beta,
@@ -18,6 +23,39 @@ from skewrank.qcombinat import (
 
 QS = (2, 3, 4, 5)
 FIELDS = (2, 3, 4, 5, 7, 8, 9)
+
+P34 = SchemeParams(3, 4)
+# one record of each immutable type: its fields and its pinned repr
+RECORDS = [
+    (SchemeParams, {"q": 3, "t": 4}, "SchemeParams(q=3, t=4)"),
+    (WeightDist, {"params": P34, "counts": (1, 0, 2)},
+     "WeightDist(params=SchemeParams(q=3, t=4), counts=(1, 0, 2))"),
+    (KrawtchoukMatrix,
+     {"params": P34, "entries": ((1, 260, 468), (1, 17, -18), (1, -10, 9))},
+     "KrawtchoukMatrix(params=SchemeParams(q=3, t=4), "
+     "entries=((1, 260, 468), (1, 17, -18), (1, -10, 9)))"),
+    (VerifyReport,
+     {"params": P34, "k": 4, "dual_k": 2,
+      "dist": WeightDist(P34, (1, 44, 36)),
+      "dual_dist_enum": WeightDist(P34, (1, 8, 0)),
+      "dual_dist_matrix": WeightDist(P34, (1, 8, 0)),
+      "dual_dist_functional": WeightDist(P34, (1, 8, 0)),
+      "size_product_ok": True},
+     "VerifyReport(params=SchemeParams(q=3, t=4), k=4, dual_k=2, "
+     "dist=WeightDist(params=SchemeParams(q=3, t=4), counts=(1, 44, 36)), "
+     "dual_dist_enum=WeightDist(params=SchemeParams(q=3, t=4), "
+     "counts=(1, 8, 0)), "
+     "dual_dist_matrix=WeightDist(params=SchemeParams(q=3, t=4), "
+     "counts=(1, 8, 0)), "
+     "dual_dist_functional=WeightDist(params=SchemeParams(q=3, t=4), "
+     "counts=(1, 8, 0)), size_product_ok=True)"),
+    (MomentCheck,
+     {"name": "first_moment", "phi": 1, "lhs": Fraction(3),
+      "rhs": Fraction(3, 2)},
+     "MomentCheck(name='first_moment', phi=1, lhs=Fraction(3, 1), "
+     "rhs=Fraction(3, 2))"),
+]
+RECORD_IDS = [cls.__name__ for cls, _, _ in RECORDS]
 
 
 class TestSchemeParams:
@@ -45,6 +83,45 @@ class TestSchemeParams:
         assert factor_prime_power(97) == (97, 1)
         with pytest.raises(ValueError):
             factor_prime_power(12)
+
+
+class TestRecords:
+    @pytest.mark.parametrize("cls, fields, text", RECORDS, ids=RECORD_IDS)
+    def test_record_contract(self, cls, fields, text):
+        rec = cls(*fields.values())
+        same = cls(**fields)
+        assert rec is not same
+        assert rec == same and hash(rec) == hash(same)
+        assert repr(rec) == text
+        assert rec != tuple(fields.values())
+        sub = type("Sub", (cls,), {})
+        assert rec != sub(**fields)
+        first = next(iter(fields))
+        for name in (first, "extra"):
+            with pytest.raises(AttributeError):
+                setattr(rec, name, None)
+            with pytest.raises(AttributeError):
+                delattr(rec, name)
+        assert {name: getattr(rec, name) for name in fields} == fields
+
+    @pytest.mark.parametrize("cls, fields, text", RECORDS, ids=RECORD_IDS)
+    def test_pickle_and_copy_rebuild_an_equal_record(self, cls, fields, text):
+        rec = cls(**fields)
+        copies = [pickle.loads(pickle.dumps(rec, protocol))
+                  for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+        for back in copies + [copy.copy(rec), copy.deepcopy(rec)]:
+            assert type(back) is cls
+            assert back == rec and repr(back) == text
+
+    @pytest.mark.parametrize("build", [
+        lambda: SchemeParams(q=2, t=1),
+        lambda: SchemeParams(q=6, t=4),
+        lambda: WeightDist(params=P34, counts=(1, 0)),
+        lambda: WeightDist(params=P34, counts=(1, -1, 0)),
+    ])
+    def test_keyword_construction_runs_the_checks(self, build):
+        with pytest.raises(ValueError):
+            build()
 
 
 class TestGauss:

@@ -413,16 +413,34 @@ print(sorted(_LANE_OPS))
 """
 
 
+def _fresh_python(*args: str) -> str:
+    """Stdout of a fresh interpreter run with args, this source on its path."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, *args], capture_output=True,
+                          text=True, timeout=120, env=env)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
 def test_set_up_builds_no_byte_lane_tables():
     # setup_s times the import, make_field and rank_table; the byte-lane
     # translate tables wait for the first block that needs them
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")]))}
-    proc = subprocess.run([sys.executable, "-c", _LANE_SETUP],
-                          capture_output=True, text=True, timeout=120,
-                          env=env)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split("\n") == ["[]", "[(3, None)]", ""]
+    out = _fresh_python("-c", _LANE_SETUP)
+    assert out.split("\n") == ["[]", "[(3, None)]", ""]
+
+
+_IMPORT_SET = "import sys, skewrank.cli; print(sorted(sys.modules))"
+
+
+def test_cli_import_loads_no_heavy_modules():
+    # every CLI command starts a fresh process, so the import is part of
+    # each call's time; these modules would take most of it
+    loaded = set(ast.literal_eval(_fresh_python("-S", "-c", _IMPORT_SET)))
+    heavy = {"dataclasses", "inspect", "ast", "dis", "tokenize", "typing",
+             "pathlib"}
+    assert "skewrank.cli" in loaded
+    assert not loaded & heavy, sorted(loaded & heavy)
 
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
