@@ -75,8 +75,7 @@ def cmd_macwilliams(args: argparse.Namespace) -> int:
         code = _load_code(args.code)
         params = code.params
         budget = gfcodes.DEFAULT_BUDGET if args.budget is None else args.budget
-        dist = gfcodes.weight_distribution(code, budget)
-        counts: list[int] = list(dist.counts)
+        counts = gfcodes.weight_distribution(code, budget).counts
         size = code.size
     else:
         if len(given) < 4:

@@ -202,7 +202,7 @@ class SkewMat:
             raise ValueError(
                 f"need {params.num_coords} entries, got {len(upper)}"
             )
-        if any(not isinstance(v, int) for v in upper):
+        if any(type(v) is not int for v in upper):  # a bool is not an entry
             raise TypeError("entries must be ints encoding field elements")
         if any(not (0 <= v < field.q) for v in upper):
             raise ValueError("entry out of range for the field")
@@ -473,7 +473,7 @@ def rank_census(params: SchemeParams, field: FieldSpec | None = None) -> list[in
 
 
 class WeightDist(_Record):
-    """Counts of codewords by skew rank, indices 0..n."""
+    """Counts of codewords by skew rank 0..n: n + 1 nonnegative ints."""
 
     __slots__ = ("params", "counts")
 
@@ -482,16 +482,19 @@ class WeightDist(_Record):
         object.__setattr__(self, "counts", counts)
         if len(counts) != params.n + 1:
             raise ValueError(f"need {params.n + 1} counts, got {len(counts)}")
-        if any(c < 0 for c in counts):
-            raise ValueError("negative count")
+        for c in counts:
+            if type(c) is not int:
+                raise TypeError(f"count {c!r} is not an int")
+            if c < 0:
+                raise ValueError("negative count")
 
     @property
     def size(self) -> int:
         return sum(self.counts)
 
 
-def _rref(rows: list[list[int]], field: FieldSpec) -> tuple[list[list[int]], list[int]]:
-    """Reduced row echelon form and pivot columns; zero rows dropped."""
+def _rref(rows: list, field: FieldSpec) -> tuple[list[list[int]], list[int]]:
+    """RREF of a copy of the int rows, and its pivot columns; zero rows dropped."""
     m = [list(r) for r in rows]
     nrows = len(m)
     ncols = len(m[0]) if m else 0
@@ -541,8 +544,7 @@ class LinearCode:
                     f"basis matrix {i} is not in the code's space "
                     f"(q={params.q}, t={params.t}, modulus {field.modulus})"
                 )
-        rows = [list(b.upper) for b in basis]
-        red, _ = _rref(rows, field)
+        red, _ = _rref([b.upper for b in basis], field)
         if len(red) != len(basis):
             raise ValueError("basis rows are linearly dependent")
         self.params = params
@@ -567,8 +569,7 @@ class LinearCode:
     def from_spanning(cls, params: SchemeParams, field: FieldSpec,
                       rows: list[tuple[int, ...]]) -> "LinearCode":
         """Reduce a spanning set to an independent basis (RREF form)."""
-        red, _ = _rref([list(r) for r in rows], field)
-        return cls.from_rows(params, field, [tuple(r) for r in red])
+        return cls.from_rows(params, field, _rref(rows, field)[0])
 
     def basis_rows(self) -> list[tuple[int, ...]]:
         return [b.upper for b in self.basis]
@@ -599,13 +600,11 @@ def random_code(params: SchemeParams, field: FieldSpec, k: int,
     if not 0 <= k <= ncoords:
         raise ValueError(f"dimension k={k} out of range 0..{ncoords}")
     while True:
-        rows = [
-            tuple(rng.randrange(field.q) for _ in range(ncoords))
-            for _ in range(k)
-        ]
-        red, _ = _rref([list(r) for r in rows], field)
-        if len(red) == k:
-            return LinearCode.from_rows(params, field, [tuple(r) for r in red])
+        rows = [tuple(rng.randrange(field.q) for _ in range(ncoords))
+                for _ in range(k)]
+        code = LinearCode.from_spanning(params, field, rows)
+        if code.k == k:
+            return code
 
 
 def dual(code: LinearCode) -> LinearCode:

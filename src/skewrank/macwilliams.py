@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from operator import index
 
 from .gfcodes import DEFAULT_BUDGET, LinearCode, WeightDist, dual, weight_distribution
 from .homopoly import HPoly, mu_power, nu_power, skew_q_product
@@ -18,25 +19,20 @@ from .qcombinat import SchemeParams, _Record
 
 
 def _as_counts(w: WeightDist | list[int] | tuple[int, ...], code_size: int,
-               params: SchemeParams) -> tuple[int, ...]:
+               params: SchemeParams) -> WeightDist:
+    """w as a WeightDist of params whose size is the positive int code_size."""
+    code_size = index(code_size)
     if code_size < 1:
         raise ValueError(f"code size {code_size} is not positive")
-    if isinstance(w, WeightDist):
-        if w.params != params:
-            raise ValueError("distribution and params disagree")
-        counts = w.counts
-    else:
-        counts = tuple(int(c) for c in w)
-        if len(counts) != params.n + 1:
-            raise ValueError(f"distribution must have length {params.n + 1}")
-        if any(c < 0 for c in counts):
-            raise ValueError("negative count")
-    if sum(counts) != code_size:
+    if not isinstance(w, WeightDist):
+        w = WeightDist(params, tuple(w))
+    elif w.params != params:
+        raise ValueError("distribution and params disagree")
+    if w.size != code_size:
         raise ValueError(
-            f"distribution sums to {sum(counts)}, not the stated size "
-            f"{code_size}"
+            f"distribution sums to {w.size}, not the stated size {code_size}"
         )
-    return counts
+    return w
 
 
 def _finalize(raw: list[int | Fraction], code_size: int,
@@ -56,10 +52,11 @@ def _finalize(raw: list[int | Fraction], code_size: int,
 
 def transform_matrix(w: WeightDist | list[int], code_size: int,
                      params: SchemeParams) -> WeightDist:
-    """Dual distribution via the eigenmatrix: c' = (1/|C|) c P."""
-    counts = _as_counts(w, code_size, params)
-    raw = p_matrix(params).transform(list(counts))
-    return _finalize(raw, code_size, params)
+    """Dual distribution via the eigenmatrix: c' = (1/|C|) c P, for w a
+    WeightDist of params or a list of n + 1 ints, and the int size code_size."""
+    w = _as_counts(w, code_size, params)
+    raw = p_matrix(params).transform(list(w.counts))
+    return _finalize(raw, w.size, params)
 
 
 def _transform_basis(q: int, n: int, i: int) -> HPoly:
@@ -83,20 +80,20 @@ def transform_functional(w: WeightDist | list[int], code_size: int,
     """Dual distribution via the functional route.
 
     Builds sum_i c_i nu^[i] * mu^[n-i] over the lambda ring, instantiates
-    lambda = m, and divides by the code size.  Must agree exactly with
-    transform_matrix; the two are computed independently.
+    lambda = m, and divides by the code size.  Takes what transform_matrix
+    takes, and must agree with it exactly; the two are computed independently.
 
     Row i is built and cached on its own the first time some c_i != 0 needs
     it; the lambda-ring products are not kept.
     """
-    counts = _as_counts(w, code_size, params)
+    w = _as_counts(w, code_size, params)
     q, n, m = params.q, params.n, params.m
     raw = [0] * (n + 1)
-    for i, c in enumerate(counts):
+    for i, c in enumerate(w.counts):
         if c:
             for k, val in enumerate(_functional_row(q, n, m, i)):
                 raw[k] += c * val
-    return _finalize(raw, code_size, params)
+    return _finalize(raw, w.size, params)
 
 
 class VerifyReport(_Record):

@@ -12,6 +12,7 @@ from __future__ import annotations
 import random
 from collections.abc import Iterable
 from fractions import Fraction
+from operator import index
 
 from .gfcodes import (
     DEFAULT_BUDGET,
@@ -112,7 +113,7 @@ def check_second_moment(
     k_dim: int,
     params: SchemeParams,
 ) -> tuple[Fraction, Fraction]:
-    """Both sides of the second moment identity for a code of q^k_dim words.
+    """Both sides of the second moment identity for q^k_dim words, k_dim an int.
 
     lhs = sum_{i>=phi} q^{2 phi (n-i)} [i, phi] c_i,
     rhs = q^{k - m phi} sum_{i<=phi} (-1)^i q^{2 sigma_i + 2i(phi-i)}
@@ -120,6 +121,7 @@ def check_second_moment(
     """
     size, _ = _pair_sizes(w, w_dual, phi, params)
     q, n, m = params.q, params.n, params.m
+    k_dim = index(k_dim)
     if q**k_dim != size:
         raise ValueError(f"q^{k_dim} != code size {size}")
     rhs = _gamma_sum(w_dual.counts, phi, q, n, m) * _qpow(q, k_dim - m * phi)

@@ -74,7 +74,7 @@ class SchemeParams(_Record):
 
     Derived: n = floor(t/2) is the maximum skew rank, and m = t(t-1)/(2n),
     which is t-1 for even t and t for odd t.  Every formula in the package
-    is driven by these four numbers.
+    is driven by these four numbers.  q and t are ints, bools refused.
     """
 
     __slots__ = ("q", "t")
@@ -82,6 +82,9 @@ class SchemeParams(_Record):
     def __init__(self, q: int, t: int) -> None:
         object.__setattr__(self, "q", q)
         object.__setattr__(self, "t", t)
+        for name, value in (("q", q), ("t", t)):
+            if type(value) is not int:
+                raise TypeError(f"{name}={value!r} is not an int")
         if t < 2:
             raise ValueError(f"t={t} must be >= 2")
         factor_prime_power(q)  # raises if q is not a prime power

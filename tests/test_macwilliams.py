@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from conftest import eval_fraction_sum
 from skewrank import macwilliams
 from skewrank.gfcodes import (
+    LinearCode,
     WeightDist,
     dual,
     make_field,
@@ -24,7 +25,7 @@ from skewrank.macwilliams import (
     transform_matrix,
     verify_code,
 )
-from skewrank.moments import msrd_distribution
+from skewrank.moments import check_second_moment, msrd_distribution
 from skewrank.qcombinat import SchemeParams, xi
 
 P34 = SchemeParams(3, 4)
@@ -109,7 +110,7 @@ class TestTransforms:
             transform(w, 1, P34)
 
     def test_wrong_length_rejected(self):
-        with pytest.raises(ValueError, match="length"):
+        with pytest.raises(ValueError, match="need 3 counts, got 2"):
             transform_matrix([1, 0], 1, P34)
 
     @pytest.mark.parametrize("transform", [transform_matrix, transform_functional])
@@ -121,6 +122,35 @@ class TestTransforms:
     def test_impossible_input_rejected(self, transform, counts, size, message):
         with pytest.raises(ValueError, match=message):
             transform(counts, size, P34)
+
+
+P24 = SchemeParams(2, 4)
+P25 = SchemeParams(2, 5)
+
+
+# a non-int is refused where it enters, never coerced or carried into an
+# exact result
+@pytest.mark.parametrize("build, message", [
+    (lambda: SchemeParams(2.0, 5), "q=2.0 is not an int"),
+    (lambda: SchemeParams(2, 5.0), "t=5.0 is not an int"),
+    (lambda: SchemeParams("3", 4), "q='3' is not an int"),
+    (lambda: WeightDist(P24, (1, 2.5, 0.5)), "count 2.5 is not an int"),
+    (lambda: WeightDist(P24, (1, True, 6)), "count True is not an int"),
+    (lambda: transform_matrix([1.9, 1.1, 0], 2, P24), "count 1.9"),
+    (lambda: transform_functional([1.9, 1.1, 0], 2, P24), "count 1.9"),
+    (lambda: transform_matrix(WeightDist(P24, (1, 0, 7)), 8.0, P24),
+     "cannot be interpreted as an integer"),
+    (lambda: check_second_moment(msrd_distribution(P25, 1),
+                                 msrd_distribution(P25, 3), 1, 10.0, P25),
+     "cannot be interpreted as an integer"),
+    (lambda: LinearCode.from_rows(P24, make_field(2), [(True, 0, 0, 0, 0, 1)]),
+     "entries must be ints"),
+], ids=["float-q", "float-t", "str-q", "float-count", "bool-count",
+        "float-list-matrix", "float-list-functional", "float-code-size",
+        "float-k-dim", "bool-entry"])
+def test_non_integers_refused(build, message):
+    with pytest.raises(TypeError, match=message):
+        build()
 
 
 @pytest.mark.parametrize("q", [4, 5, 7, 8, 9])

@@ -430,6 +430,23 @@ def test_set_up_builds_no_byte_lane_tables():
     assert out.split("\n") == ["[]", "[(3, None)]", ""]
 
 
+_FLOAT_SCHEME_FIRST = """
+from skewrank import SchemeParams, p_matrix
+try:
+    p_matrix(SchemeParams(2.0, 5))
+except TypeError:
+    pass
+entries = p_matrix(SchemeParams(2, 5)).entries
+print(entries[1], sorted({type(v).__name__ for row in entries for v in row}))
+"""
+
+
+def test_refused_float_scheme_leaves_no_float_matrix_cached():
+    # float params equal and hash like int ones: the eigenmatrix cache
+    # would hand a float matrix built for (2.0, 5) to every later (2, 5)
+    assert _fresh_python("-c", _FLOAT_SCHEME_FIRST) == "(1, 27, -28) ['int']\n"
+
+
 _IMPORT_SET = "import sys, skewrank.cli; print(sorted(sys.modules))"
 
 
