@@ -60,7 +60,8 @@ class FieldSpec:
     refused.
     """
 
-    __slots__ = ("p", "e", "q", "modulus", "_add", "_mul", "_neg", "_inv")
+    __slots__ = ("p", "e", "q", "modulus", "_add", "_plus", "_mul", "_neg",
+                 "_inv")
 
     def __init__(self, q: int, modulus: tuple[int, ...] | None = None):
         p, e = factor_prime_power(q)
@@ -103,6 +104,8 @@ class FieldSpec:
         if any(1 not in row for row in mul[1:]):
             raise ValueError(f"modulus {modulus} is reducible over F_{p}")
         self._add = add
+        # the add rows as translate tables u -> u + a, padded to 256 bytes
+        self._plus = [bytes(row).ljust(256, b"\0") for row in add]
         self._mul = mul
         self._neg = mul[p - 1]  # the integer p - 1 encodes -1
         self._inv = [0] + [row.index(1) for row in mul[1:]]
@@ -366,6 +369,20 @@ def canonical_decompose(a: SkewMat) -> tuple[list[list[int]], int]:
 
 _RANK_TABLES: dict[tuple, bytearray] = {}
 
+_NONZERO = b"\0" + b"\xff" * 255  # any field's labels: 0 -> 0, else -> 0xFF
+
+
+def _form_values(coeffs, field: FieldSpec, start: int = 0) -> bytes:
+    """start + sum_i c_i coeffs[i] at every c in F_q^len(coeffs), as byte
+    number sum_i c_i q^i: coefficient g appends to the bytes x so far
+    x + c g for c = 1..q-1, one translate each, or copies of x at g = 0."""
+    q, mul, plus = field.q, field._mul, field._plus
+    x = bytes([start])
+    for g in coeffs:
+        x = b"".join([x] + [x.translate(plus[mul[c][g]])
+                            for c in range(1, q)]) if g else x * q
+    return x
+
 
 def _rank_table_key(params: SchemeParams, field: FieldSpec) -> tuple:
     return (params.t, field.table_key())
@@ -387,8 +404,8 @@ def _build_rank_table(params: SchemeParams, field: FieldSpec) -> bytearray:
     digits of the index, and A's coordinates follow in the (t-1)-space's own
     order, so index(M) = index(b) + q^(t-1) index(A).  Block a of the table,
     its q^(t-1) contiguous entries, is therefore small[a] plus the indicator
-    of {b : b . k != 0 for some k in a basis of ker A}, built over b's digits
-    by bytes.translate once per k in one build.  Only the matrices A of the
+    of {b : b . k != 0 for some k in a basis of ker A}, b . k at every b
+    from _form_values once per k in one build.  Only the matrices A of the
     (t-1)-space are reduced, by _pair_off, and none with 2 small[a] = t - 1:
     that A is invertible and its block constant.  The recursion starts at
     t = 2, [0, 1, ..., 1], and every table's census is checked against xi.
@@ -410,13 +427,11 @@ def _build_rank_table(params: SchemeParams, field: FieldSpec) -> bytearray:
 
 def _border(small: bytearray, t: int, field: FieldSpec) -> bytearray:
     """The t-space's rank table from `small`, the (t-1)-space's, block by
-    block, as _build_rank_table sets out, with ker A from _pair_off."""
-    q, mul = field.q, field._mul
+    block, as _build_rank_table sets out: ker A from _pair_off, and b . k
+    at every b from _form_values."""
+    q = field.q
     width = q ** (t - 1)
-    pad = bytes(256 - q)
-    plus = [bytes(row) + pad for row in field._add]  # x -> x + c
-    nonzero = bytes([0]) + bytes([1]) * 255
-    lift = [bytes([s, s + 1]) + bytes(254) for s in range(t // 2)]
+    lift = [bytes([s]) * 255 + bytes([s + 1]) for s in range(t // 2)]
     full = bytes([(t - 1) // 2]) * width
     hits: dict[tuple[int, ...], int] = {}  # k -> {b : b . k != 0} as an int
     pos = upper_positions(t - 1)
@@ -432,11 +447,8 @@ def _border(small: bytearray, t: int, field: FieldSpec) -> bytearray:
         hit = 0
         for k in map(tuple, _pair_off(mat, field)[1]):
             if k not in hits:
-                dots = b"\0"  # b . k over the b of the digits so far
-                for kc in k:
-                    dots = b"".join(dots.translate(plus[mul[d][kc]])
-                                    for d in range(q))
-                hits[k] = int.from_bytes(dots.translate(nonzero), "little")
+                hits[k] = int.from_bytes(
+                    _form_values(k, field).translate(_NONZERO), "little")
             hit |= hits[k]
         table[at:at + width] = hit.to_bytes(width, "little").translate(lift[s])
     return table
@@ -616,7 +628,7 @@ def dual(code: LinearCode) -> LinearCode:
     """
     params, field = code.params, code.field
     ncoords = params.num_coords
-    red, pivots = _rref([list(r) for r in code.basis_rows()], field)
+    red, pivots = _rref(code.basis_rows(), field)
     free = [c for c in range(ncoords) if c not in pivots]
     neg = field._neg
     rows = []
@@ -787,25 +799,21 @@ _LANE_OPS: dict[tuple, tuple] = {}
 
 
 def _lane_ops(field: FieldSpec) -> tuple:
-    """The field's byte-lane tables, for 2 < q <= 16: u -> u + a for each
-    a < q, the unary nonzero (-> 0xFF) and inverse (0 -> 0), and add, sub
-    and mul of a byte 16 a + b, a label in each nibble.  Entries no label
-    reaches are padding, never read."""
+    """The field's byte-lane tables, for 2 < q <= 16: the unary inverse
+    (0 -> 0), and add, sub and mul of a byte 16 a + b, a label in each
+    nibble.  Entries no label reaches are padding, never read; u -> u + a
+    is the field's own _plus, and nonzero the shared _NONZERO."""
     ops = _LANE_OPS.get(field.table_key())
     if ops is None:
         q, add, mul, neg = field.q, field._add, field._mul, field._neg
-
-        def unary(values):
-            return bytes(values).ljust(256, b"\0")
 
         def binary(table):
             return bytes(table[a][b] if a < q and b < q else 0
                          for a in range(16) for b in range(16))
 
         sub = [[add[a][neg[b]] for b in range(q)] for a in range(q)]
-        nonzero = unary(0xFF if a else 0 for a in range(q))
         ops = _LANE_OPS[field.table_key()] = (
-            [unary(row) for row in add], nonzero, unary(field._inv),
+            bytes(field._inv).ljust(256, b"\0"),
             binary(add), binary(sub), binary(mul))
     return ops
 
@@ -817,27 +825,19 @@ def _byte_blocks(params: SchemeParams, field: FieldSpec, rows, start):
     Entry e of the upper triangle is one bytes object whose byte w is entry
     e of word w, the word of lane w.  The first block is
     start + span(rows[:b]), lane w the word start + sum_r c_r rows[r] for
-    w = sum_r c_r q^r, built entry by entry: after r rows the q^r lanes are
-    x, and row r appends x + c g for c = 1..q-1, g its entry, one translate
-    each.  The other blocks are its cosets, walked over the F_p-basis of
-    the outer rows rows[b:] (_fp_basis) by _gray_steps: a step adds its
-    vector to every lane, one translate per entry of its support.
+    w = sum_r c_r q^r, one entry at a time by _form_values.  The other
+    blocks are its cosets, walked over the F_p-basis of the outer rows
+    rows[b:] (_fp_basis) by _gray_steps: a step adds its vector to every
+    lane, one translate per entry of its support.
     _byte_pivots ranks each block.
     """
-    q, p, mul = field.q, field.p, field._mul
-    adds = _lane_ops(field)[0]
+    q, p, plus = field.q, field.p, field._plus
     k, b = len(rows), 0
     while b < k and q ** (b + 1) <= 1 << _LANE_BITS:
         b += 1
-    entries = []
-    for e, v in enumerate(start or [0] * params.num_coords):
-        x = bytes([v])
-        for row in rows[:b]:
-            g = row[e]
-            x = b"".join([x] + [x.translate(adds[mul[c][g]])
-                                for c in range(1, q)]) if g else x * q
-        entries.append(x)
-    supports = [[(e, adds[g]) for e, g in enumerate(vec) if g]
+    entries = [_form_values(col, field, v) for v, *col
+               in zip(start or [0] * params.num_coords, *rows[:b])]
+    supports = [[(e, plus[g]) for e, g in enumerate(vec) if g]
                 for vec in _fp_basis(rows[b:], field)]
     yield _byte_pivots(entries, params.t, field)
     for r in _gray_steps(p, len(supports)):
@@ -867,7 +867,7 @@ def _byte_pivots(entries: list[bytes], t: int, field: FieldSpec) -> list[int]:
     column i are not read again, and are not updated.  ge[s] is the lanes
     with at least s pivots so far, as 0xFF bytes.
     """
-    _, nonzero, inv, add, sub, mul = _lane_ops(field)
+    inv, add, sub, mul = _lane_ops(field)
     size = len(entries[0])
     frm = int.from_bytes
 
@@ -889,7 +889,7 @@ def _byte_pivots(entries: list[bytes], t: int, field: FieldSpec) -> list[int]:
         for j in range(i + 1, t):
             if not ri[j]:
                 continue
-            sel = unary(nonzero, ri[j]) & rest
+            sel = unary(_NONZERO, ri[j]) & rest
             if sel:
                 rest ^= sel
                 pivot |= sel & ri[j]
@@ -1227,7 +1227,7 @@ def parse_code(text: str) -> LinearCode:
             f"has {len(rows)} rows; using the rows",
             stacklevel=2,
         )
-    red, _ = _rref([list(r) for r in rows], field)
+    red, _ = _rref(rows, field)
     if len(red) != len(rows):
         warnings.warn(
             f"basis rows are linearly dependent; reduced to {len(red)} "

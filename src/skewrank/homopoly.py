@@ -12,7 +12,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .lambda_ring import LambdaScalar, RatLike, _rational, gamma_lambda
-from .qcombinat import SchemeParams, gauss, xi
+from .qcombinat import SchemeParams, _require_int, gauss, xi
 
 
 class HPoly:
@@ -21,6 +21,7 @@ class HPoly:
     __slots__ = ("q", "coeffs")
 
     def __init__(self, q: int, coeffs: list[LambdaScalar | RatLike]):
+        _require_int("q", q)
         if not coeffs:
             raise ValueError("an HPoly needs at least the degree-0 coefficient")
         self.q = q

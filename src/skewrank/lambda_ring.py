@@ -19,6 +19,8 @@ from fractions import Fraction
 from math import gcd, lcm
 from operator import index
 
+from .qcombinat import _require_int
+
 RatLike = int | Fraction
 
 
@@ -50,6 +52,7 @@ class LambdaScalar:
     __slots__ = ("q", "_den", "_nums")
 
     def __init__(self, q: int, terms: dict[int, RatLike] | None = None):
+        _require_int("q", q)
         terms = terms or {}
         for c in terms.values():
             _rational(c)
@@ -76,20 +79,24 @@ class LambdaScalar:
 
     @classmethod
     def constant(cls, q: int, value: RatLike) -> "LambdaScalar":
+        _require_int("q", q)
         value = _rational(value)
         return _reduced(q, value.denominator, {0: value.numerator})
 
     @classmethod
     def zero(cls, q: int) -> "LambdaScalar":
+        _require_int("q", q)
         return _reduced(q, 1, {})
 
     @classmethod
     def one(cls, q: int) -> "LambdaScalar":
+        _require_int("q", q)
         return _reduced(q, 1, {0: 1})
 
     @classmethod
     def q_lambda(cls, q: int, e: int = 1) -> "LambdaScalar":
         """The monomial Q**e."""
+        _require_int("q", q)
         return _reduced(q, 1, {index(e): 1})
 
     # -- ring operations ---------------------------------------------------

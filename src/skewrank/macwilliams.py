@@ -10,18 +10,17 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from operator import index
 
 from .gfcodes import DEFAULT_BUDGET, LinearCode, WeightDist, dual, weight_distribution
 from .homopoly import HPoly, mu_power, nu_power, skew_q_product
 from .krawtchouk import p_matrix
-from .qcombinat import SchemeParams, _Record
+from .qcombinat import SchemeParams, _Record, _require_int
 
 
 def _as_counts(w: WeightDist | list[int] | tuple[int, ...], code_size: int,
                params: SchemeParams) -> WeightDist:
     """w as a WeightDist of params whose size is the positive int code_size."""
-    code_size = index(code_size)
+    _require_int("code_size", code_size)
     if code_size < 1:
         raise ValueError(f"code size {code_size} is not positive")
     if not isinstance(w, WeightDist):
@@ -35,7 +34,7 @@ def _as_counts(w: WeightDist | list[int] | tuple[int, ...], code_size: int,
     return w
 
 
-def _finalize(raw: list[int | Fraction], code_size: int,
+def _finalize(raw: list[int], code_size: int,
               params: SchemeParams) -> WeightDist:
     counts = []
     for k, total in enumerate(raw):

@@ -12,7 +12,6 @@ from __future__ import annotations
 import random
 from collections.abc import Iterable
 from fractions import Fraction
-from operator import index
 
 from .gfcodes import (
     DEFAULT_BUDGET,
@@ -25,7 +24,7 @@ from .gfcodes import (
     make_field,
     min_distance,
 )
-from .qcombinat import _qpow, _Record, gamma, gauss, sigma
+from .qcombinat import _qpow, _Record, _require_int, gamma, gauss, sigma
 
 # Candidate samples find_msrd draws before it gives up.
 SEARCH_BUDGET = 20000
@@ -121,7 +120,7 @@ def check_second_moment(
     """
     size, _ = _pair_sizes(w, w_dual, phi, params)
     q, n, m = params.q, params.n, params.m
-    k_dim = index(k_dim)
+    _require_int("k_dim", k_dim)
     if q**k_dim != size:
         raise ValueError(f"q^{k_dim} != code size {size}")
     rhs = _gamma_sum(w_dual.counts, phi, q, n, m) * _qpow(q, k_dim - m * phi)

@@ -34,6 +34,12 @@ def factor_prime_power(q: int) -> tuple[int, int]:
     return p, e
 
 
+def _require_int(name: str, value: object) -> None:
+    """Refuse anything but an int, a bool included, naming the argument."""
+    if type(value) is not int:
+        raise TypeError(f"{name}={value!r} is not an int")
+
+
 class _Record:
     """An immutable record of the two or more fields in its __slots__:
     equal to a record of its own type with equal fields, hashed and printed
@@ -82,9 +88,8 @@ class SchemeParams(_Record):
     def __init__(self, q: int, t: int) -> None:
         object.__setattr__(self, "q", q)
         object.__setattr__(self, "t", t)
-        for name, value in (("q", q), ("t", t)):
-            if type(value) is not int:
-                raise TypeError(f"{name}={value!r} is not an int")
+        _require_int("q", q)
+        _require_int("t", t)
         if t < 2:
             raise ValueError(f"t={t} must be >= 2")
         factor_prime_power(q)  # raises if q is not a prime power
@@ -118,6 +123,7 @@ def gauss(q: int, x: int, k: int) -> int | Fraction:
     An int for x >= 0 (zero for x < k; the division is checked exact,
     ArithmeticError otherwise); negative x yields nonzero Fractions.
     """
+    _require_int("q", q)
     if k < 0:
         raise ValueError(f"k={k} must be >= 0")
     if 0 <= x < k:
@@ -139,6 +145,7 @@ def gauss(q: int, x: int, k: int) -> int | Fraction:
 
 def gamma(q: int, x: int, k: int) -> int | Fraction:
     """prod_{i<k} (q^x - q^{2i}); 1 for k = 0.  An int for x >= 0."""
+    _require_int("q", q)
     if k < 0:
         raise ValueError(f"k={k} must be >= 0")
     qx = _qpow(q, x)
@@ -150,6 +157,7 @@ def gamma(q: int, x: int, k: int) -> int | Fraction:
 
 def beta(q: int, x: int, k: int) -> int | Fraction:
     """prod_{i<k} [x-i choose 1]; 1 for k = 0.  An int for x >= k - 1."""
+    _require_int("q", q)
     if k < 0:
         raise ValueError(f"k={k} must be >= 0")
     out = 1

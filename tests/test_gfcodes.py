@@ -148,6 +148,9 @@ MODULI_DIGESTS = {
 }
 # monic irreducibles of degree e over F_p: (1/e) sum_{d | e} mu(d) p^(e/d)
 GAUSS_COUNTS = ((4, 1), (8, 2), (9, 3), (16, 3), (25, 10), (27, 8))
+SUPPORTED_Q = sorted(
+    {4, 8, 9} | {q for q in range(2, 98) if all(q % d for d in range(2, q))}
+)
 
 
 class TestField:
@@ -446,6 +449,30 @@ class TestRankTables:
                 xi(p, s) for s in range(p.n + 1)
             ]
 
+    @pytest.mark.parametrize("q,modulus", [(q, None) for q in SUPPORTED_Q] + [
+        (16, (1, 1, 0, 0, 1)), (25, (2, 0, 1)), (32, (1, 0, 1, 0, 0, 1))])
+    def test_form_values_is_the_sum_at_every_vector(self, q, modulus):
+        # the one builder of the tables' b . k and the byte lanes' first
+        # block: byte sum_i c_i q^i is start + sum_i c_i g_i, with a zero g
+        # among the coefficients, from a zero and a nonzero start
+        import skewrank.gfcodes as g
+
+        f = make_field(q, modulus)
+        assert [row[:q] for row in f._plus] == [bytes(row) for row in f._add]
+        rng = random.Random(q)
+        k = max(2, max(k for k in range(1, 13) if q**k <= 4096))
+        coeffs = [rng.randrange(1, q) for _ in range(k)]
+        coeffs[rng.randrange(k)] = 0
+        for start in (0, rng.randrange(1, q)):
+            want = bytearray(q**k)
+            for c in itertools.product(range(q), repeat=k):
+                value = start
+                for ci, gi in zip(c, coeffs):
+                    value = f.add(value, f.mul(ci, gi))
+                want[sum(ci * q**i for i, ci in enumerate(c))] = value
+            assert g._form_values(coeffs, f, start) == want, start
+        assert g._form_values([], f, 1) == b"\1"
+
     @pytest.mark.parametrize("q,t", sorted(RANK_TABLE_DIGESTS))
     def test_one_word_per_block_matches_skew_rank(self, q, t):
         # the census cannot see a wrong kernel of the right dimension, and
@@ -491,10 +518,6 @@ def _dot(f, xs, ys, t):
             acc = f.add(acc, f.mul(a, b))
     return acc
 
-
-SUPPORTED_Q = sorted(
-    {4, 8, 9} | {q for q in range(2, 98) if all(q % d for d in range(2, q))}
-)
 
 # sha256 of repr([P for each of _decompose_draws(q)]), recorded from the
 # reduction that re-evaluated the bilinear form for every candidate pair

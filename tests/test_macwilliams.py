@@ -25,8 +25,10 @@ from skewrank.macwilliams import (
     transform_matrix,
     verify_code,
 )
+from skewrank.homopoly import HPoly, nu_power
+from skewrank.lambda_ring import LambdaScalar
 from skewrank.moments import check_second_moment, msrd_distribution
-from skewrank.qcombinat import SchemeParams, xi
+from skewrank.qcombinat import SchemeParams, beta, gamma, gauss, xi
 
 P34 = SchemeParams(3, 4)
 FIELDS = (2, 3, 4, 5, 7, 8, 9)
@@ -139,15 +141,34 @@ P25 = SchemeParams(2, 5)
     (lambda: transform_matrix([1.9, 1.1, 0], 2, P24), "count 1.9"),
     (lambda: transform_functional([1.9, 1.1, 0], 2, P24), "count 1.9"),
     (lambda: transform_matrix(WeightDist(P24, (1, 0, 7)), 8.0, P24),
-     "cannot be interpreted as an integer"),
+     "code_size=8.0 is not an int"),
+    (lambda: transform_matrix([1, 0, 0], True, P24),
+     "code_size=True is not an int"),
     (lambda: check_second_moment(msrd_distribution(P25, 1),
                                  msrd_distribution(P25, 3), 1, 10.0, P25),
-     "cannot be interpreted as an integer"),
+     "k_dim=10.0 is not an int"),
+    (lambda: check_second_moment(msrd_distribution(P25, 1),
+                                 msrd_distribution(P25, 3), 1, True, P25),
+     "k_dim=True is not an int"),
     (lambda: LinearCode.from_rows(P24, make_field(2), [(True, 0, 0, 0, 0, 1)]),
      "entries must be ints"),
+    (lambda: gauss(2.0, 3, 1), "q=2.0 is not an int"),
+    (lambda: gamma(2.0, 3, 1), "q=2.0 is not an int"),
+    (lambda: beta(2.0, 3, 1), "q=2.0 is not an int"),
+    (lambda: LambdaScalar(2.0, {1: 1}), "q=2.0 is not an int"),
+    (lambda: LambdaScalar.constant(2.0, 1), "q=2.0 is not an int"),
+    (lambda: LambdaScalar.zero(2.0), "q=2.0 is not an int"),
+    (lambda: LambdaScalar.one(True), "q=True is not an int"),
+    (lambda: LambdaScalar.q_lambda(2.0), "q=2.0 is not an int"),
+    (lambda: HPoly(2.0, [1, 1]), "q=2.0 is not an int"),
+    (lambda: nu_power(2.0, 2), "q=2.0 is not an int"),
 ], ids=["float-q", "float-t", "str-q", "float-count", "bool-count",
         "float-list-matrix", "float-list-functional", "float-code-size",
-        "float-k-dim", "bool-entry"])
+        "bool-code-size", "float-k-dim", "bool-k-dim", "bool-entry",
+        "float-q-gauss", "float-q-gamma", "float-q-beta",
+        "float-q-lambda-scalar", "float-q-constant", "float-q-zero",
+        "bool-q-one", "float-q-q-lambda", "float-q-hpoly",
+        "float-q-nu-power"])
 def test_non_integers_refused(build, message):
     with pytest.raises(TypeError, match=message):
         build()
