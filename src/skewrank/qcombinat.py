@@ -40,6 +40,14 @@ def _require_int(name: str, value: object) -> None:
         raise TypeError(f"{name}={value!r} is not an int")
 
 
+def _require_ints(**named: object) -> None:
+    """_require_int on each argument in turn.  A hot caller tests its ints
+    in one chained `type(a) is type(b) is int` first and calls this only
+    when that fails, to name the argument."""
+    for name, value in named.items():
+        _require_int(name, value)
+
+
 class _Record:
     """An immutable record of the two or more fields in its __slots__:
     equal to a record of its own type with equal fields, hashed and printed
@@ -123,7 +131,8 @@ def gauss(q: int, x: int, k: int) -> int | Fraction:
     An int for x >= 0 (zero for x < k; the division is checked exact,
     ArithmeticError otherwise); negative x yields nonzero Fractions.
     """
-    _require_int("q", q)
+    if not type(q) is type(x) is type(k) is int:
+        _require_ints(q=q, x=x, k=k)
     if k < 0:
         raise ValueError(f"k={k} must be >= 0")
     if 0 <= x < k:
@@ -145,7 +154,8 @@ def gauss(q: int, x: int, k: int) -> int | Fraction:
 
 def gamma(q: int, x: int, k: int) -> int | Fraction:
     """prod_{i<k} (q^x - q^{2i}); 1 for k = 0.  An int for x >= 0."""
-    _require_int("q", q)
+    if not type(q) is type(x) is type(k) is int:
+        _require_ints(q=q, x=x, k=k)
     if k < 0:
         raise ValueError(f"k={k} must be >= 0")
     qx = _qpow(q, x)
@@ -157,7 +167,8 @@ def gamma(q: int, x: int, k: int) -> int | Fraction:
 
 def beta(q: int, x: int, k: int) -> int | Fraction:
     """prod_{i<k} [x-i choose 1]; 1 for k = 0.  An int for x >= k - 1."""
-    _require_int("q", q)
+    if not type(q) is type(x) is type(k) is int:
+        _require_ints(q=q, x=x, k=k)
     if k < 0:
         raise ValueError(f"k={k} must be >= 0")
     out = 1

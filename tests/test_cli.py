@@ -416,7 +416,8 @@ class TestProcessInvocation:
     def test_wdist_builds_any_sub_cap_table_within_a_second(self, tmp_path):
         # every code under the cap, even one of one row, is ranked through
         # its space's table, built here in a fresh process: (4,5) is the
-        # largest space, 4^10 entries, and (2,6) the slowest build, ~40 ms
+        # largest space, 4^10 entries, and the slowest build, ~16 ms by
+        # bordering; (2,6), in bit lanes, takes ~2.5 ms
         for q, t, k, want in ((4, 5, 7, ["1", "303", "16080"]),
                               (2, 6, 1, ["1", "0", "1", "0"])):
             p = SchemeParams(q, t)

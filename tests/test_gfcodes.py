@@ -487,14 +487,16 @@ class TestRankTables:
             coords = tuple(index // q**i % q for i in range(p.num_coords))
             assert table[index] == skew_rank(SkewMat(p, f, coords)), index
 
-    def test_census_guard_raises(self, monkeypatch):
+    @pytest.mark.parametrize("q,t", [(3, 4), (2, 5)])
+    def test_census_guard_raises(self, monkeypatch, q, t):
         import skewrank.gfcodes as g
 
         # the build checks its census itself, by a raise that python -O
-        # keeps; a census that disagrees with xi must stop it
+        # keeps; a census that disagrees with xi must stop it, whether the
+        # table came from bordering (q = 3) or from bit lanes (q = 2)
         monkeypatch.setattr(g, "xi", lambda params, s: xi(params, s) + (s == 1))
         with pytest.raises(ArithmeticError, match="skew rank 1"):
-            _build_rank_table(SchemeParams(3, 4), make_field(3))
+            _build_rank_table(SchemeParams(q, t), make_field(q))
 
     def test_field_of_another_q_is_refused(self, monkeypatch):
         # a caller's mistake, not the census guard's ArithmeticError (an
@@ -1212,34 +1214,30 @@ class TestEnumerationPaths:
         # 256: a walk holding its batches would pass the bound by itself
         big = SchemeParams(4, 5)
         rank_table(big, make_field(4))
-        tracemalloc.start()
-        try:
-            wd = weight_distribution(full_space_code(big, make_field(4)))
-            _, walk_peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        wd, walk_peak = traced_peak(
+            weight_distribution, full_space_code(big, make_field(4)))
         assert wd.counts == tuple(xi(big, s) for s in range(big.n + 1))
         assert wd.size == 1 << 20
         assert walk_peak < 1 << 20
 
         p, f = SchemeParams(3, 5), make_field(3)
         want = rank_table(p, f)
-        code = full_space_code(p, f)
-        tracemalloc.start()
-        try:
-            wd = weight_distribution(code)
-            _, walk_peak = tracemalloc.get_traced_memory()
-            tracemalloc.reset_peak()
-            table = _build_rank_table(p, f)
-            _, build_peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        wd, walk_peak = traced_peak(weight_distribution, full_space_code(p, f))
         assert wd.counts == tuple(xi(p, s) for s in range(p.n + 1))
         assert walk_peak < 1 << 20
         # the build holds the 59 kB table, the 729-byte (3,4) table it
         # borders and one 81-byte block at a time: about 69 kB at its peak
+        table, build_peak = traced_peak(_build_rank_table, p, f)
         assert table == want
         assert build_peak < 2 * len(table)
+
+        # the (2,6) build ranks its 2^15 words in one block of bit lanes:
+        # 15 lane masks of 4 KiB, the rows the pivot loop rewrites, its ge
+        # sets and the 32 kB table, about 190 kB at its peak
+        p, f = SchemeParams(2, 6), make_field(2)
+        table, build_peak = traced_peak(_build_rank_table, p, f)
+        assert table == rank_table(p, f)
+        assert build_peak < 8 * len(table)
 
     def test_xor_path_matches_tuple_path(self, monkeypatch):
         import skewrank.gfcodes as g
@@ -1252,6 +1250,17 @@ class TestEnumerationPaths:
         monkeypatch.setattr(g, "_RANK_TABLE_CAP", 0)
         monkeypatch.setattr(g, "_RANK_TABLES", {})
         assert weight_distribution(code).counts == want
+
+
+def traced_peak(run, *args):
+    """run(*args) and the peak of the memory it allocates, traced alone: a
+    cache that an earlier traced call filled is not counted against it."""
+    tracemalloc.start()
+    try:
+        out = run(*args)
+        return out, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 @pytest.fixture

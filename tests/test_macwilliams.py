@@ -155,6 +155,12 @@ P25 = SchemeParams(2, 5)
     (lambda: gauss(2.0, 3, 1), "q=2.0 is not an int"),
     (lambda: gamma(2.0, 3, 1), "q=2.0 is not an int"),
     (lambda: beta(2.0, 3, 1), "q=2.0 is not an int"),
+    (lambda: gauss(2, 3.0, 1), "x=3.0 is not an int"),
+    (lambda: gauss(2, 3, 1.0), "k=1.0 is not an int"),
+    (lambda: gamma(2, 3.0, 1), "x=3.0 is not an int"),
+    (lambda: gamma(2, 3, True), "k=True is not an int"),
+    (lambda: beta(2, True, 1), "x=True is not an int"),
+    (lambda: beta(2, 3, 2.0), "k=2.0 is not an int"),
     (lambda: LambdaScalar(2.0, {1: 1}), "q=2.0 is not an int"),
     (lambda: LambdaScalar.constant(2.0, 1), "q=2.0 is not an int"),
     (lambda: LambdaScalar.zero(2.0), "q=2.0 is not an int"),
@@ -166,6 +172,8 @@ P25 = SchemeParams(2, 5)
         "float-list-matrix", "float-list-functional", "float-code-size",
         "bool-code-size", "float-k-dim", "bool-k-dim", "bool-entry",
         "float-q-gauss", "float-q-gamma", "float-q-beta",
+        "float-x-gauss", "float-k-gauss", "float-x-gamma", "bool-k-gamma",
+        "bool-x-beta", "float-k-beta",
         "float-q-lambda-scalar", "float-q-constant", "float-q-zero",
         "bool-q-one", "float-q-q-lambda", "float-q-hpoly",
         "float-q-nu-power"])
