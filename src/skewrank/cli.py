@@ -10,6 +10,7 @@ violated (an ArithmeticError: a bug, never a verdict).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -255,8 +256,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.lru_cache(maxsize=1)
+def _parser() -> argparse.ArgumentParser:
+    """The one parser main reuses, built on its first call, not at import:
+    building it costs about 1 ms, more than most commands' own work, and a
+    fresh process that only imports the module should not pay it.  Each
+    parse_args call fills a new Namespace, so no call sees another's flags.
+    """
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+    parser = _parser()
     try:
         args = parser.parse_args(argv)
         if (getattr(args, "budget", None) or 0) < 0:  # a count: negative is a typo

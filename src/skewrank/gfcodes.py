@@ -416,8 +416,10 @@ def _build_rank_table(params: SchemeParams, field: FieldSpec) -> bytearray:
     of {b : b . k != 0 for some k in a basis of ker A}, b . k at every b
     from _form_values once per k in one build.  Only the matrices A of the
     (t-1)-space are reduced, by _pair_off, and none with 2 small[a] = t - 1:
-    that A is invertible and its block constant.  The recursion starts at
-    t = 2, [0, 1, ..., 1].  Every table's census is checked against xi.
+    that A is invertible and its block constant.  The (t-1)-space's table
+    comes from rank_table, so a chain of builds fills the cache on the way
+    and each table is built once.  The recursion starts at t = 2,
+    [0, 1, ..., 1].  Every table's census is checked against xi.
     """
     q, t = field.q, params.t
     if _lane_bits(field) == 1:
@@ -431,8 +433,7 @@ def _build_rank_table(params: SchemeParams, field: FieldSpec) -> bytearray:
     elif t == 2:
         table = bytearray([0] + [1] * (q - 1))
     else:
-        table = _border(_build_rank_table(SchemeParams(q, t - 1), field),
-                        t, field)
+        table = _border(rank_table(SchemeParams(q, t - 1), field), t, field)
     for s in range(params.n + 1):
         if table.count(s) != xi(params, s):
             raise ArithmeticError(

@@ -10,6 +10,11 @@ from skewrank.qcombinat import beta, gauss, sigma
 
 ACCEPTANCE_PAIRS = ((2, 4), (2, 5), (2, 6), (3, 4), (3, 5))
 
+# the built-in fields: every prime q <= 97, and 4, 8 and 9
+SUPPORTED_Q = sorted(
+    {4, 8, 9} | {q for q in range(2, 98) if all(q % d for d in range(2, q))}
+)
+
 EXAMPLE_CODE_ROWS = [
     (1, 0, 0, 0, 0, 0),
     (0, 1, 0, 0, 0, 0),

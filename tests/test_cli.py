@@ -1,3 +1,4 @@
+import argparse
 import inspect
 import json
 import os
@@ -9,13 +10,16 @@ from pathlib import Path
 
 import pytest
 
-from skewrank import SchemeParams, gfcodes, krawtchouk, macwilliams, selftest
+from skewrank import (
+    SchemeParams, cli, gfcodes, krawtchouk, macwilliams, moments, selftest
+)
 from skewrank.cli import build_parser, main
-from skewrank.moments import find_msrd
+from skewrank.moments import SEARCH_BUDGET, find_msrd
 from skewrank.gfcodes import WeightDist
 
 REPO = Path(__file__).resolve().parents[1]
 EXAMPLE = str(REPO / "data" / "example_q3_t4.skc")
+GOLDEN = REPO / "data" / "golden"
 SRC_ENV = {
     **os.environ,
     "PYTHONPATH": os.pathsep.join(
@@ -399,6 +403,90 @@ class TestSelftestCommand:
         checks = {c["name"]: c["ok"] for c in data["checks"]}
         assert checks["random_code_sweep"] is False
         assert checks["gauss_identities"] is True
+
+
+class TestParserReuse:
+    def test_usage_errors_leave_the_parser_working(self, capsys):
+        assert main(["krawtchouk", "--t", "4"]) == 2
+        assert main(["wdist", "--code", EXAMPLE, "--budget", "-1"]) == 2
+        # a command without --budget must not see the refused one
+        code, out = run_cli(capsys, "krawtchouk", "--q", "2", "--t", "3")
+        assert code == 0
+        assert json.loads(out)["matrix"][0] == ["1", "7"]
+        assert main(["frobnicate"]) == 2
+        code, out = run_cli(capsys, "wdist", "--code", EXAMPLE)
+        assert code == 0
+        assert json.loads(out)["dist"] == ["1", "44", "36"]
+
+    def test_flags_do_not_carry_to_the_next_call(self, capsys, monkeypatch):
+        seen = []
+        monkeypatch.setattr(moments, "find_msrd", lambda params, d, budget, seed:
+                            seen.append((seed, budget)))
+        monkeypatch.setattr(cli, "run_selftest", lambda seed: seen.append(seed) or [])
+        search = ["msrd-find", "--q", "2", "--t", "4", "--d", "2"]
+        assert main(search + ["--seed", "4", "--budget", "5"]) == 3
+        assert main(search) == 3
+        assert main(["selftest", "--seed", "4"]) == 0
+        assert main(["selftest"]) == 0
+        assert seen == [(4, 5), (0, SEARCH_BUDGET), 4, 0]
+        capsys.readouterr()
+
+        assert main(["wdist", "--code", EXAMPLE, "--format", "text"]) == 0
+        assert capsys.readouterr().out.startswith("q: 3\n")
+        assert main(["wdist", "--code", EXAMPLE, "--budget", "5"]) == 3
+        code, out = run_cli(capsys, "wdist", "--code", EXAMPLE)
+        assert code == 0
+        assert json.loads(out)["dist"] == ["1", "44", "36"]
+
+        phis = []
+        for extra in (["--phi", "1"], []):
+            code, out = run_cli(capsys, "moments", "--code", EXAMPLE, *extra)
+            assert code == 0
+            phis.append({chk["phi"] for chk in json.loads(out)["checks"]})
+        assert phis[0] == {1} and phis[1] >= {0, 1, 2}
+
+    def test_main_reuses_one_parser_and_build_parser_makes_new_ones(self):
+        main(["omega", "--q", "2", "--t", "3"])
+        assert cli._parser() is cli._parser()
+        assert build_parser() is not build_parser()
+        assert build_parser() is not cli._parser()
+
+    def test_import_builds_no_parser(self):
+        # the parser costs about 1 ms to build, paid by the first main call
+        # and not by every process that imports the module
+        proc = run_process("-S", "-c", "import skewrank.cli as c; "
+                           "print(c._parser.cache_info().currsize)")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "0\n"
+
+
+class TestGoldenCorpus:
+    def test_replay_in_one_process(self, capsys, monkeypatch):
+        # every case of scripts/golden_corpus.py, recorded before main
+        # reused its parser, replayed in order through one process's main:
+        # each exit code and stdout byte for byte, so no call inherits a
+        # flag, a default or an error from the one before
+        cases = json.loads((GOLDEN / "cases.json").read_text(encoding="utf-8"))
+        outs = {case["name"]: (GOLDEN / "out" / f"{case['name']}.txt")
+                .read_text(encoding="utf-8") for case in cases}
+        monkeypatch.chdir(REPO)
+        start = time.perf_counter()
+        for case in cases:
+            code, out = run_cli(capsys, *case["argv"])
+            assert (code, out) == (case["exit"], outs[case["name"]]), case["name"]
+        assert time.perf_counter() - start < 3.0
+        assert sorted(outs) == sorted(p.stem for p in (GOLDEN / "out").glob("*.txt"))
+
+    def test_corpus_covers_every_subcommand_in_both_formats(self):
+        cases = json.loads((GOLDEN / "cases.json").read_text(encoding="utf-8"))
+        parser = build_parser()
+        (sub,) = (a for a in parser._actions
+                  if isinstance(a, argparse._SubParsersAction))
+        covered = {(args.command, args.format) for args in
+                   (parser.parse_args(c["argv"]) for c in cases if c["exit"] != 2)}
+        assert covered == {(cmd, fmt) for cmd in sub.choices
+                           for fmt in ("json", "text")}
+        assert {c["exit"] for c in cases} == {0, 2, 3}
 
 
 class TestProcessInvocation:

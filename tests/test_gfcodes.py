@@ -8,7 +8,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import ACCEPTANCE_PAIRS, EXAMPLE_CODE_ROWS
+from conftest import ACCEPTANCE_PAIRS, EXAMPLE_CODE_ROWS, SUPPORTED_Q
 from skewrank.gfcodes import (
     CodeFormatError,
     EnumerationBudgetError,
@@ -148,9 +148,6 @@ MODULI_DIGESTS = {
 }
 # monic irreducibles of degree e over F_p: (1/e) sum_{d | e} mu(d) p^(e/d)
 GAUSS_COUNTS = ((4, 1), (8, 2), (9, 3), (16, 3), (25, 10), (27, 8))
-SUPPORTED_Q = sorted(
-    {4, 8, 9} | {q for q in range(2, 98) if all(q % d for d in range(2, q))}
-)
 
 
 class TestField:
@@ -497,6 +494,29 @@ class TestRankTables:
         monkeypatch.setattr(g, "xi", lambda params, s: xi(params, s) + (s == 1))
         with pytest.raises(ArithmeticError, match="skew rank 1"):
             _build_rank_table(SchemeParams(q, t), make_field(q))
+
+    def test_each_table_of_a_chain_built_once(self, monkeypatch):
+        # bordering reads the (t-1)-space's table through rank_table, so a
+        # chain of builds fills the cache: (3,4) builds (3,4), (3,3) and
+        # (3,2), and (3,5) after it only itself, 4 builds and not 7
+        import skewrank.gfcodes as g
+
+        built, real = [], g._build_rank_table
+
+        def counted(params, field):
+            built.append((params.q, params.t))
+            return real(params, field)
+
+        monkeypatch.setattr(g, "_RANK_TABLES", {})
+        monkeypatch.setattr(g, "_build_rank_table", counted)
+        f = make_field(3)
+        rank_table(SchemeParams(3, 4), f)
+        rank_table(SchemeParams(3, 5), f)
+        assert built == [(3, 4), (3, 3), (3, 2), (3, 5)]
+        for t in (2, 3, 4, 5):
+            table = rank_table(SchemeParams(3, t), f)
+            assert hashlib.sha256(table).hexdigest() == RANK_TABLE_DIGESTS[(3, t)]
+        assert len(built) == 4
 
     def test_field_of_another_q_is_refused(self, monkeypatch):
         # a caller's mistake, not the census guard's ArithmeticError (an

@@ -5,6 +5,7 @@ from itertools import combinations
 
 import pytest
 
+from conftest import SUPPORTED_Q
 from skewrank import gfcodes
 from skewrank.gfcodes import (
     WeightDist,
@@ -17,6 +18,7 @@ from skewrank.gfcodes import (
 )
 from skewrank.macwilliams import verify_code
 from skewrank.moments import (
+    _sampler,
     check_first_moment,
     check_second_moment,
     corollary_bounds,
@@ -424,6 +426,16 @@ class TestFindMsrd:
     def test_seed_0_basis_is_pinned(self):
         # any change to the search's RNG draws or word order shows here
         assert find_msrd(P25, 2, seed=0).basis_rows() == SEED_0_BASIS
+
+    @pytest.mark.parametrize("q", SUPPORTED_Q)
+    def test_sampler_draws_what_randrange_draws(self, q):
+        # the search's entries follow randrange's rejection rule, so a seed
+        # gives the same candidates as rng.randrange(q) entry by entry: in
+        # one long run and in the candidate-sized pieces the search asks for
+        for seed in (0, 1, 7):
+            sample, rng = _sampler(random.Random(seed), q), random.Random(seed)
+            got = sample(1000) + sum((sample(k) for k in (1, 3, 6, 10, 15)), ())
+            assert got == tuple(rng.randrange(q) for _ in range(1035)), seed
 
     def test_d_out_of_range(self):
         with pytest.raises(ValueError):
