@@ -218,28 +218,24 @@ def build_parser() -> argparse.ArgumentParser:
             "help": "enumeration budget (for msrd-find: candidate samples)",
         },
     }
-    # name: (handler, help, flags read); "!" marks a required flag.
+    # name: (help, flags read); "!" marks a required flag.  main runs
+    # cmd_<name>, "-" read as "_".
     commands = {
-        "wdist": (cmd_wdist, "weight distribution of a code file", "code! budget"),
-        "dual": (cmd_dual, "dual code basis", "code!"),
+        "wdist": ("weight distribution of a code file", "code! budget"),
+        "dual": ("dual code basis", "code!"),
         "macwilliams": (
-            cmd_macwilliams,
             "both MacWilliams transforms of a distribution or code",
             "code q t dist size budget",
         ),
-        "krawtchouk": (cmd_krawtchouk, "the (n+1)x(n+1) eigenmatrix", "q! t!"),
-        "omega": (cmd_omega, "weight enumerator of the whole space", "q! t!"),
-        "moments": (
-            cmd_moments, "moment identity checks for a code", "code! phi budget"
-        ),
-        "msrd-dist": (cmd_msrd_dist, "forced MSRD weight distribution", "q! t! d!"),
-        "msrd-find": (
-            cmd_msrd_find, "randomized search for an MSRD code", "q! t! d! seed budget"
-        ),
-        "verify": (cmd_verify, "three-way MacWilliams cross-check", "code! budget"),
-        "selftest": (cmd_selftest, "run the condensed identity suite", "seed"),
+        "krawtchouk": ("the (n+1)x(n+1) eigenmatrix", "q! t!"),
+        "omega": ("weight enumerator of the whole space", "q! t!"),
+        "moments": ("moment identity checks for a code", "code! phi budget"),
+        "msrd-dist": ("forced MSRD weight distribution", "q! t! d!"),
+        "msrd-find": ("randomized search for an MSRD code", "q! t! d! seed budget"),
+        "verify": ("three-way MacWilliams cross-check", "code! budget"),
+        "selftest": ("run the condensed identity suite", "seed"),
     }
-    for name, (fn, help_text, names) in commands.items():
+    for name, (help_text, names) in commands.items():
         p = sub.add_parser(name, help=help_text)
         for flag in names.split():
             key = flag.rstrip("!")
@@ -248,7 +244,6 @@ def build_parser() -> argparse.ArgumentParser:
             "--format", choices=("json", "text"), default="json",
             help="output format (default json)",
         )
-        p.set_defaults(func=fn)
     # msrd-find's budget counts candidate samples, not words
     sub.choices["msrd-find"].set_defaults(budget=moments.SEARCH_BUDGET)
     # macwilliams enumerates only with --code, so it must see an unset budget
@@ -275,7 +270,9 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
-        return args.func(args)
+        # looked up on each call, not bound in the parser that main reuses,
+        # so a cmd_ function replaced after the first call is the one run
+        return globals()["cmd_" + args.command.replace("-", "_")](args)
     except EnumerationBudgetError as exc:
         print(f"budget error: {exc}", file=sys.stderr)
         return EXIT_BUDGET

@@ -694,19 +694,97 @@ def weight_distribution(code: LinearCode,
     return WeightDist(params, (1, *(multiples * c for c in ranked[1:])))
 
 
-def _rank_below(params: SchemeParams, field: FieldSpec, rows, d: int):
-    """A test on a word w: does w + span(rows) hold a word of skew rank
-    below d?  With a table it reads the coset by one _RowWalk, set up here
-    so that no elimination runs per word; with none it ranks the coset by
-    _lane_blocks.  It stops at the first batch or block holding a rank
-    below d."""
+def _rank_below(params: SchemeParams, field: FieldSpec, d: int):
+    """find_msrd's coset test over a basis grown from empty: test(w) asks
+    whether w + span(basis) holds a word of skew rank below d, join(w)
+    appends w to the basis and clear() empties it.  Words are bytes, one
+    entry a byte.
+
+    Three branches, by what the space has.  At q = 2 with a table the test
+    is one bit per word (_ForbiddenLanes), with no coset walked.  At q > 2
+    with a table it reads the coset by one _RowWalk, and with none it ranks
+    the coset by _lane_blocks (_CosetWalk); those two stop at the first
+    batch or block holding a rank below d.
+    """
     tbl = rank_table(params, field)
-    if tbl is None:
-        rows = tuple(rows)
-        return lambda w: any(any(block[:d]) for block
-                             in _lane_blocks(params, field, rows, w))
-    walk = _RowWalk(params, field, tbl, rows)
-    return lambda w: any(map(d.__gt__, map(min, walk.coset(w))))
+    if tbl is not None and _lane_bits(field) == 1:
+        return _ForbiddenLanes(tbl, params.num_coords, d)
+    return _CosetWalk(params, field, tbl, d)
+
+
+class _ForbiddenLanes:
+    """_rank_below at q = 2 with a table: the forbidden set
+    F = B_{<d} + span(basis) as one int over the table's 2^N index lanes,
+    bit w set when word w is in F.  w + span(basis) meets B_{<d} exactly
+    when w is in F, so the test is the bit at w's index.
+
+    B_{<d}, the lanes w with tbl[w] < d, is read from the table once.  An
+    accepted row v extends F to F | (F + v), the lanes moved by XOR with
+    index(v): for each set bit r of index(v) one masked swap of the runs of
+    2^r lanes, with _lane_masks, so no join rebuilds F from the basis.
+    """
+
+    __slots__ = ("ball", "masks", "runs", "digits", "size", "forbidden", "bits")
+
+    def __init__(self, tbl: bytearray, num_coords: int, d: int):
+        # char w from the right is b"1" where lane w's rank is below d
+        self.ball = int(tbl.translate(b"1" * d + b"0" * (256 - d))[::-1], 2)
+        self.masks = _lane_masks(num_coords)[0]
+        self.runs = [1 << r for r in range(num_coords)]
+        # a word's entries as binary digits, coordinate 0 the lowest
+        self.digits = bytes.maketrans(b"\0\1", b"01")
+        self.size = (len(tbl) + 7) >> 3
+        self.clear()
+
+    def clear(self) -> None:
+        self._keep(self.ball)
+
+    def join(self, word: bytes) -> None:
+        moved = self.forbidden
+        for v, mask, run in zip(word, self.masks, self.runs):
+            if v:  # the lanes in mask move down by run, the rest up
+                moved = (moved & mask) >> run | (moved & ~mask) << run
+        self._keep(self.forbidden | moved)
+
+    def _keep(self, forbidden: int) -> None:
+        self.forbidden = forbidden
+        self.bits = forbidden.to_bytes(self.size, "little")
+
+    def test(self, word: bytes) -> bool:
+        w = int(word[::-1].translate(self.digits), 2)
+        return self.bits[w >> 3] >> (w & 7) & 1 == 1
+
+
+class _CosetWalk:
+    """_rank_below at q > 2 with a table, or with none: each test ranks the
+    coset, by one _RowWalk set up on join so that no elimination runs per
+    word, or by _lane_blocks started at the word."""
+
+    __slots__ = ("params", "field", "tbl", "d", "rows", "walk")
+
+    def __init__(self, params: SchemeParams, field: FieldSpec,
+                 tbl: bytearray | None, d: int):
+        self.params, self.field, self.tbl, self.d = params, field, tbl, d
+        self.clear()
+
+    def clear(self) -> None:
+        self.rows: list[bytes] = []
+        self._set_up()
+
+    def join(self, word: bytes) -> None:
+        self.rows.append(word)
+        self._set_up()
+
+    def _set_up(self) -> None:
+        if self.tbl is not None:
+            self.walk = _RowWalk(self.params, self.field, self.tbl, self.rows)
+
+    def test(self, word: bytes) -> bool:
+        d = self.d
+        if self.tbl is None:
+            return any(any(block[:d]) for block in
+                       _lane_blocks(self.params, self.field, self.rows, word))
+        return any(map(d.__gt__, map(min, self.walk.coset(word))))
 
 
 # _lane_blocks ranks a coset in blocks of at most 2^_LANE_BITS words, so each

@@ -329,23 +329,31 @@ def msrd_distribution(params: SchemeParams, d: int) -> WeightDist:
 
 
 def _sampler(rng: random.Random, q: int):
-    """sample(k): k entries of F_q, the same as k calls of rng.randrange(q).
+    """sample(k): k entries of F_q as bytes, the same as k calls of
+    rng.randrange(q).
 
-    randrange's own rule, getrandbits of q.bit_length() bits until one is
-    below q, so the same generator state gives the same draws; without
-    randrange's per-call argument checks, about 40% of find_msrd's time at
-    (2,5,2).
+    randrange's own rule takes getrandbits of bits = q.bit_length() bits
+    until one is below q, and getrandbits(bits) is the top bits of one
+    32-bit output of the generator.  Here the outputs come in bulk, W = 1024
+    at a time: getrandbits(32 W) holds W outputs little-endian, the first
+    lowest, so their top bytes are [3::4], and since bits <= 7 for every
+    supported q one bytes.translate keeps b >> (8 - bits) of each where it
+    is below q.  The same generator state gives the same draws; the
+    generator only runs ahead of them, so it must be private to the caller.
     """
-    bits, draw = q.bit_length(), rng.getrandbits
+    shift = 8 - q.bit_length()
+    keep = bytes(b >> shift for b in range(256))
+    drop = bytes(range(q << shift, 256))  # the bytes b with b >> shift >= q
+    draw, words = rng.getrandbits, 1 << 10
+    buf, at = b"", 0
 
-    def sample(k: int) -> tuple[int, ...]:
-        out = []
-        for _ in range(k):
-            r = draw(bits)
-            while r >= q:
-                r = draw(bits)
-            out.append(r)
-        return tuple(out)
+    def sample(k: int) -> bytes:
+        nonlocal buf, at
+        while len(buf) - at < k:
+            tops = draw(32 * words).to_bytes(4 * words, "little")[3::4]
+            buf, at = buf[at:] + tops.translate(keep, drop), 0
+        at += k
+        return buf[at - k:at]
 
     return sample
 
@@ -363,7 +371,11 @@ def find_msrd(
     That coset covers the whole grown span: a new word c cand + w with
     c != 0 is c (cand + w / c), and a nonzero multiple keeps the skew rank
     (a candidate already in the span meets the zero word).  The coset test
-    is gfcodes' _rank_below, built again only when a candidate joins.
+    is gfcodes' _rank_below, grown as candidates join and emptied on a
+    restart: at q = 2 with a rank table one bit of the forbidden set
+    B_{<d} + span(basis), extended on each join; at q > 2 with a table one
+    _RowWalk over the coset, and with none _lane_blocks, both built again
+    only when a candidate joins.
     Returns None once `budget` candidate samples are spent (existence is a
     property of the parameters, not of this search).
     """
@@ -381,19 +393,21 @@ def find_msrd(
 
     ncoords = params.num_coords
     sample = _sampler(random.Random(seed), q)
+    rank_below = _rank_below(params, field, d)
+    below = rank_below.test  # bound once: it runs once per candidate
     samples = 0
     while samples < budget:
-        basis: list[tuple[int, ...]] = []
-        rank_below = _rank_below(params, field, basis, d)
+        basis: list[bytes] = []
+        rank_below.clear()
         stuck = 0
         while len(basis) < k_target and samples < budget:
             cand = sample(ncoords)
             samples += 1
             if not any(cand):
                 continue
-            if not rank_below(cand):
+            if not below(cand):
                 basis.append(cand)
-                rank_below = _rank_below(params, field, basis, d)
+                rank_below.join(cand)
                 stuck = 0
             else:
                 stuck += 1

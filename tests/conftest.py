@@ -118,3 +118,14 @@ def small_corpus():
             entries.append((code, verify_code(code)))
         out[(q, t)] = entries
     return out
+
+
+@pytest.fixture
+def no_tables(monkeypatch):
+    """Every space untabled, and no q <= 16 ranked a word at a time."""
+    import skewrank.gfcodes as g
+
+    monkeypatch.setattr(g, "_RANK_TABLE_CAP", 0)
+    monkeypatch.setattr(g, "_RANK_TABLES", {})
+    monkeypatch.setattr(g, "_alt_rank", lambda *args: pytest.fail("_alt_rank"))
+    return g

@@ -451,6 +451,19 @@ class TestParserReuse:
         assert build_parser() is not build_parser()
         assert build_parser() is not cli._parser()
 
+    def test_handler_replaced_after_the_first_call_is_run(self, capsys,
+                                                          monkeypatch):
+        # main reuses its parser, so the handler is looked up by the command's
+        # name on each call and not bound when the parser was built
+        code, out = run_cli(capsys, "omega", "--q", "2", "--t", "3")
+        assert code == 0 and json.loads(out)["t"] == 3
+        seen = []
+        monkeypatch.setattr(cli, "cmd_omega",
+                            lambda args: seen.append((args.q, args.t)) or 0)
+        assert main(["omega", "--q", "3", "--t", "4"]) == 0
+        assert seen == [(3, 4)]
+        assert capsys.readouterr().out == ""
+
     def test_import_builds_no_parser(self):
         # the parser costs about 1 ms to build, paid by the first main call
         # and not by every process that imports the module

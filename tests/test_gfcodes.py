@@ -32,7 +32,7 @@ from skewrank.gfcodes import (
     weight_distribution,
     zero_code,
 )
-from skewrank.gfcodes import _alt_rank, _build_rank_table, _rref
+from skewrank.gfcodes import _alt_rank, _build_rank_table, _rank_below, _rref
 from skewrank.qcombinat import SchemeParams, factor_prime_power, xi
 
 
@@ -1283,17 +1283,6 @@ def traced_peak(run, *args):
         tracemalloc.stop()
 
 
-@pytest.fixture
-def no_tables(monkeypatch):
-    """Every space untabled, and no q <= 16 ranked a word at a time."""
-    import skewrank.gfcodes as g
-
-    monkeypatch.setattr(g, "_RANK_TABLE_CAP", 0)
-    monkeypatch.setattr(g, "_RANK_TABLES", {})
-    monkeypatch.setattr(g, "_alt_rank", lambda *args: pytest.fail("_alt_rank"))
-    return g
-
-
 def counted_blocks(monkeypatch, g):
     """Wrap _lane_pivots; returns the list of (entries, ones) of each block."""
     blocks, real = [], g._lane_pivots
@@ -1522,6 +1511,44 @@ class TestLanes:
                 assert counts[0] == 1
 
 
+
+
+class TestForbiddenLanes:
+    @pytest.mark.parametrize("t", (4, 5, 6))
+    def test_matches_brute_force_over_the_coset(self, t):
+        # find_msrd's q = 2 test with a table, one bit per word of the
+        # forbidden set B_{<d} + span(basis) grown a row at a time, against
+        # every word of cand + span(basis) ranked by skew_rank, the _rref
+        # oracle, which shares no code with the lanes or the table; random
+        # bases of k = 0 .. N - 1 rows, random candidates, one in the span
+        # and zero, and every 2 <= d <= n
+        p, f, rng = SchemeParams(2, t), make_field(2), random.Random(60 + t)
+        ncoords = p.num_coords
+        words = [bytes(w >> i & 1 for i in range(ncoords))
+                 for w in range(1 << ncoords)]
+        oracle = [skew_rank(SkewMat(p, f, tuple(word))) for word in words]
+        tests = {d: _rank_below(p, f, d) for d in range(2, p.n + 1)}
+        assert {type(below).__name__ for below in tests.values()} == {
+            "_ForbiddenLanes"}
+        seen = set()
+        for k in range(ncoords):
+            rows = list(map(bytes, dense_code(p, f, k, rng).basis_rows()))
+            span = [0]
+            for row in rows:
+                at = words.index(row)
+                span += [w ^ at for w in span]
+            cands = [rng.randrange(1, 1 << ncoords) for _ in range(6)]
+            cands += [rng.choice(span), 0]
+            lowest = {c: min(oracle[c ^ w] for w in span) for c in cands}
+            for d, below in tests.items():
+                below.clear()
+                for row in rows:
+                    below.join(row)
+                for c in cands:
+                    want = lowest[c] < d
+                    assert below.test(words[c]) == want, (t, k, d, c)
+                    seen.add(want)
+        assert seen == {False, True}
 
 
 class TestSkewMatArithmetic:

@@ -1,7 +1,7 @@
 import hashlib
 import random
 from fractions import Fraction
-from itertools import combinations
+from itertools import accumulate, combinations
 
 import pytest
 
@@ -427,15 +427,42 @@ class TestFindMsrd:
         # any change to the search's RNG draws or word order shows here
         assert find_msrd(P25, 2, seed=0).basis_rows() == SEED_0_BASIS
 
-    @pytest.mark.parametrize("q", SUPPORTED_Q)
+    # and 16, 25, 27 and 32, which need an explicit modulus; the sampler
+    # reads q alone
+    @pytest.mark.parametrize("q", SUPPORTED_Q + [16, 25, 27, 32])
     def test_sampler_draws_what_randrange_draws(self, q):
         # the search's entries follow randrange's rejection rule, so a seed
         # gives the same candidates as rng.randrange(q) entry by entry: in
-        # one long run and in the candidate-sized pieces the search asks for
+        # one long run, in the candidate-sized pieces the search asks for,
+        # and on past at least three refills of the sampler's bulk draws,
+        # with pieces that straddle the refills
+        sizes = (1, 3, 6, 10, 15, 21, 28)
         for seed in (0, 1, 7):
-            sample, rng = _sampler(random.Random(seed), q), random.Random(seed)
-            got = sample(1000) + sum((sample(k) for k in (1, 3, 6, 10, 15)), ())
-            assert got == tuple(rng.randrange(q) for _ in range(1035)), seed
+            refills = []
+
+            class Counted(random.Random):
+                def getrandbits(self, k):
+                    refills.append(k)
+                    return super().getrandbits(k)
+
+            sample, rng = _sampler(Counted(seed), q), random.Random(seed)
+            got = sample(1000) + b"".join(sample(k) for k in sizes[:5])
+            assert got == bytes(rng.randrange(q) for _ in range(1035)), seed
+            # edges[j], the entries the first j + 1 refills hold, counted
+            # from the raw 32-bit outputs: a piece across one straddles a refill
+            words, bits, raw = refills[0] // 32, q.bit_length(), random.Random(seed)
+            edges = list(accumulate(
+                sum(raw.getrandbits(32) >> 32 - bits < q for _ in range(words))
+                for _ in range(8)))
+            straddled = 0
+            while straddled < 3 and len(got) < edges[-1]:
+                start = len(got)
+                got += sample(sizes[start % len(sizes)])
+                straddled += sum(start < e < len(got) for e in edges)
+            assert straddled == 3 and len(refills) >= 4, seed
+            got += sample(10**4)
+            assert got == got[:1035] + bytes(
+                rng.randrange(q) for _ in range(len(got) - 1035)), seed
 
     def test_d_out_of_range(self):
         with pytest.raises(ValueError):
@@ -519,12 +546,36 @@ class TestFindMsrd:
         code = find_msrd(SchemeParams(q, t), d, budget=budget, seed=seed)
         assert self._digest(code) == self.PINNED_UNTABLED[case]
 
-    def test_seed_0_basis_without_table(self, monkeypatch):
+    def test_seed_0_basis_without_table(self, no_tables):
         # the search ranks in lanes and keeps the tabled search's basis
-        monkeypatch.setattr(gfcodes, "_RANK_TABLE_CAP", 0)
-        monkeypatch.setattr(gfcodes, "_RANK_TABLES", {})
         assert rank_table(P25, make_field(2)) is None
         assert find_msrd(P25, 2, seed=0).basis_rows() == SEED_0_BASIS
+
+    def test_q2_with_table_tests_one_bit_per_candidate(self, monkeypatch):
+        # at q = 2 with a table a candidate is one bit of the forbidden set:
+        # no coset is walked and no lane block ranked.  The one _RowWalk is
+        # the closing min_distance check's, over the found code.  The table
+        # is built first, since its build ranks the space in bit lanes.
+        assert rank_table(P25, make_field(2)) is not None
+        walks, pivots = [], []
+        real_init, real_pivots = gfcodes._RowWalk.__init__, gfcodes._lane_pivots
+
+        def counted_init(walk, params, field, tbl, rows):
+            walks.append(list(rows))
+            real_init(walk, params, field, tbl, rows)
+
+        def counted_pivots(*args):
+            pivots.append(args)
+            return real_pivots(*args)
+
+        monkeypatch.setattr(gfcodes._RowWalk, "__init__", counted_init)
+        monkeypatch.setattr(gfcodes._RowWalk, "coset",
+                            lambda *args: pytest.fail("_RowWalk.coset"))
+        monkeypatch.setattr(gfcodes, "_lane_pivots", counted_pivots)
+        code = find_msrd(P25, 2, seed=0)
+        assert code.basis_rows() == SEED_0_BASIS
+        assert walks == [code.basis_rows()]
+        assert pivots == []
 
     @pytest.mark.parametrize("case", [(2, 5, 2, 0, 20000), (2, 8, 3, 0, 300)])
     def test_q2_without_table_ranks_no_word_alone(self, monkeypatch, case):
@@ -582,7 +633,8 @@ class TestFindMsrd:
     @pytest.mark.parametrize("mode", ["table", "no-table"])
     def test_each_walk_ranks_one_coset(self, monkeypatch, mode):
         # cand + span(basis): at most q^|basis| words, not the grown span;
-        # without a table every q here counts the words of its lane blocks
+        # without a table every q here counts the words of its lane blocks,
+        # and with one (2,5) walks none, its test being one bit per word
         walks = []
         monkeypatch.setattr(gfcodes, "_word_blocks",
                             lambda *args: pytest.fail("_word_blocks"))
