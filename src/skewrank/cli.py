@@ -17,7 +17,7 @@ import sys
 from . import gfcodes, homopoly, krawtchouk, macwilliams, moments
 from .gfcodes import CodeFormatError, EnumerationBudgetError
 from .qcombinat import SchemeParams
-from .selftest import run_selftest
+from .selftest import run_checks
 
 EXIT_OK = 0
 EXIT_FALSE = 1
@@ -33,9 +33,12 @@ def _emit(fmt: str, params: SchemeParams | None = None, **fields) -> None:
         print(json.dumps(obj))
         return
     for key, val in obj.items():
-        if isinstance(val, list) and val and isinstance(val[0], list):
+        if isinstance(val, list) and val and isinstance(val[0], (list, dict)):
+            # one indented line per row or record
             print(f"{key}:")
             for row in val:
+                if isinstance(row, dict):
+                    row = [f"{name}={x}" for name, x in row.items()]
                 print("  " + " ".join(str(x) for x in row))
         elif isinstance(val, list):
             print(f"{key}: " + " ".join(str(x) for x in val))
@@ -186,9 +189,13 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_selftest(args: argparse.Namespace) -> int:
-    results = run_selftest(seed=args.seed)
-    ok = all(flag for _, flag in results)
-    checks = [{"name": name, "ok": flag} for name, flag in results]
+    results = run_checks(seed=args.seed)
+    for name, _, failure in results:
+        if failure is not None:
+            print(f"selftest: {name}: {failure}", file=sys.stderr)
+    checks = [{"name": name, "ok": failure is None}
+              for name, _, failure in results]
+    ok = all(chk["ok"] for chk in checks)
     _emit(args.format, checks=checks, ok=ok)
     return EXIT_OK if ok else EXIT_FALSE
 

@@ -233,7 +233,8 @@ def delta_closed(q: int, lam: int, phi: int, j: int) -> Fraction:
         closed = lead * gamma(q, lam - 2 * j, phi - j) * _qpow(q, j * (lam - 2 * j))
     if total != closed:
         raise ArithmeticError(
-            f"delta({lam},{phi},{j}) mismatch: sum {total}, closed {closed}"
+            f"delta lemma fails at q={q} lam={lam} phi={phi} j={j}: "
+            f"sum {total}, closed {closed}"
         )
     return total
 
@@ -268,7 +269,8 @@ def epsilon_closed(q: int, lam_big: int, phi: int, i: int) -> Fraction:
     )
     if total != closed:
         raise ArithmeticError(
-            f"epsilon({lam_big},{phi},{i}) mismatch: sum {total}, closed {closed}"
+            f"epsilon lemma fails at q={q} lam_big={lam_big} phi={phi} i={i}: "
+            f"sum {total}, closed {closed}"
         )
     return total
 

@@ -74,6 +74,7 @@ def eval_nu_derivative_at_ones(q: int, j: int, l: int) -> Fraction:
     expected = beta(q, j, j) if j == l else Fraction(0)
     if value != expected:
         raise ArithmeticError(
-            f"nu^[{j}] derivative order {l} at (1,1): got {value}, expected {expected}"
+            f"nu-derivative delta fails at q={q} j={j} l={l}: "
+            f"got {value}, expected {expected}"
         )
     return value

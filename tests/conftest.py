@@ -5,7 +5,7 @@ import pytest
 
 from skewrank.homopoly import HPoly, mu_power, skew_q_product
 from skewrank.lambda_ring import LambdaScalar, gamma_lambda
-from skewrank.qcalculus import q_derivative, q_inv_derivative
+from skewrank.qcalculus import q_inv_derivative
 from skewrank.qcombinat import beta, gauss, sigma
 
 ACCEPTANCE_PAIRS = ((2, 4), (2, 5), (2, 6), (3, 4), (3, 5))
@@ -47,6 +47,16 @@ def random_hpoly(rng: random.Random, q: int, max_deg: int = 4,
     return HPoly(q, [random_lambda_scalar(rng, q) for _ in range(deg + 1)])
 
 
+def random_hpoly_pairs(rng: random.Random, count: int,
+                       max_deg: int = 4) -> list[tuple[HPoly, HPoly]]:
+    """count (f, g) pairs, each over a q drawn from {2, 3}."""
+    pairs = []
+    for _ in range(count):
+        q = rng.choice((2, 3))
+        pairs.append((random_hpoly(rng, q, max_deg), random_hpoly(rng, q, max_deg)))
+    return pairs
+
+
 def mu_inv_derivative_closed(q: int, k: int, phi: int) -> HPoly:
     """Closed form of the phi-th Y-derivative of mu^[k], 0 <= phi <= k.
 
@@ -58,21 +68,6 @@ def mu_inv_derivative_closed(q: int, k: int, phi: int) -> HPoly:
         Fraction(q) ** (-2 * sigma(phi)) * beta(q, k, phi)
     )
     return base.scale(scalar)
-
-
-def leibniz_x_rhs(f, g, phi):
-    """sum_l [phi,l] q^{2(phi-l)(r-l)} f^(l) * g^(phi-l), skipping zero terms."""
-    q = f.q
-    r, s = f.degree, g.degree
-    rhs = None
-    for l in range(phi + 1):
-        if l > r or phi - l > s:
-            continue
-        term = skew_q_product(
-            q_derivative(f, l), q_derivative(g, phi - l)
-        ).scale(gauss(q, phi, l) * q ** (2 * (phi - l) * (r - l)))
-        rhs = term if rhs is None else rhs + term
-    return rhs
 
 
 def leibniz_y_rhs(f, g, phi):

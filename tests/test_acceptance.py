@@ -8,18 +8,16 @@ import random
 import time
 from contextlib import contextmanager
 from fractions import Fraction
-from math import comb
 from pathlib import Path
-
-import pytest
 
 from conftest import (
     ACCEPTANCE_PAIRS,
-    leibniz_x_rhs,
     leibniz_y_rhs,
     mu_inv_derivative_closed,
     random_hpoly,
+    random_hpoly_pairs,
 )
+from skewrank import selftest
 from skewrank.gfcodes import (
     _build_rank_table,
     _RANK_TABLES,
@@ -31,31 +29,16 @@ from skewrank.gfcodes import (
     random_code,
     weight_distribution,
 )
-from skewrank.homopoly import (
-    evaluate,
-    mu_power,
-    nu_power,
-    omega,
-    skew_q_product,
-)
-from skewrank.krawtchouk import generalized_p, matched_bc, p_matrix, skew_c, skew_p
+from skewrank.homopoly import evaluate, mu_power, nu_power, skew_q_product
 from skewrank.macwilliams import transform_functional, transform_matrix
 from skewrank.moments import (
     check_first_moment,
     check_second_moment,
-    delta_closed,
-    epsilon_closed,
     find_msrd,
-    forward_sequence,
-    invert_sequence,
     msrd_distribution,
 )
-from skewrank.qcalculus import (
-    eval_nu_derivative_at_ones,
-    q_derivative,
-    q_inv_derivative,
-)
-from skewrank.qcombinat import SchemeParams, beta, gamma, gauss, sigma, xi
+from skewrank.qcalculus import q_derivative, q_inv_derivative
+from skewrank.qcombinat import SchemeParams, beta, xi
 
 EXAMPLE_PATH = Path(__file__).resolve().parents[1] / "data" / "example_q3_t4.skc"
 
@@ -128,8 +111,7 @@ def test_criterion_2_count_reproduction():
             for r in table:
                 counts[r] += 1
             assert counts == [xi(params, s) for s in range(params.n + 1)], (q, t)
-        om = omega(SchemeParams(3, 4))
-        assert [c.eval_lambda(0) for c in om.coeffs] == [1, 260, 468]
+        assert selftest.omega_values({(3, 4): (1, 260, 468)}) == 1
 
 
 def test_criterion_3_three_way_agreement():
@@ -155,146 +137,25 @@ def test_criterion_3_three_way_agreement():
 
 
 def test_criterion_4_krawtchouk_equivalences():
+    # The recurrences across parity-matched steps and at fixed (b, c) run in
+    # test_krawtchouk.py, at grids holding every case this suite ran.
     with criterion(4, "Krawtchouk equivalences"):
-        for q, t in ((2, 4), (2, 5), (2, 6), (3, 4), (3, 5), (4, 4), (5, 4)):
-            params = SchemeParams(q, t)
-            b, c = matched_bc(params)
-            n = params.n
-            mat = p_matrix(params)
-            for x in range(n + 1):
-                for k in range(n + 1):
-                    val = skew_p(params, k, x)
-                    assert mat.entries[x][k] == val
-                    assert skew_c(params, k, x) == val
-                    assert generalized_p(b, c, k, x, n) == val
-            # column relation: the dual of the whole space is zero
-            out = mat.transform([xi(params, x) for x in range(n + 1)])
-            assert out == [q ** (params.m * n)] + [0] * n
-        # recurrence across parity-matched parameter steps
-        for q, t in ((2, 4), (2, 5), (3, 4), (3, 5)):
-            small = SchemeParams(q, t)
-            big = SchemeParams(q, t + 2)
-            for x in range(small.n + 1):
-                for k in range(small.n):
-                    assert skew_c(big, k + 1, x + 1) == q ** (
-                        2 * (k + 1)
-                    ) * skew_c(small, k + 1, x) - q ** (2 * k) * skew_c(
-                        small, k, x
-                    )
-        # and directly on the generalized form with (b, c) held fixed
-        for b, c in ((Fraction(4), Fraction(1, 2)), (Fraction(9), Fraction(3))):
-            for y in range(1, 5):
-                for x in range(y):
-                    for k in range(y):
-                        assert generalized_p(b, c, k + 1, x + 1, y + 1) == b ** (
-                            k + 1
-                        ) * generalized_p(b, c, k + 1, x, y) - b**k * generalized_p(
-                            b, c, k, x, y
-                        )
+        pairs = ((2, 4), (2, 5), (2, 6), (3, 4), (3, 5), (4, 4), (5, 4))
+        # every entry of every pair, and one column relation per pair
+        assert selftest.krawtchouk_equivalences(pairs) == 77
 
 
 def test_criterion_5_identity_suite():
+    # The Gaussian, gamma and beta identities the selftest does not hold run
+    # in test_qcombinat.py, at grids holding every case this suite ran.
     with criterion(5, "identity suite"):
         start = time.perf_counter()
-        for q in (2, 3, 4, 5):
-            for x in range(13):
-                for k in range(x + 1):
-                    assert gauss(q, x, k) == gauss(q, x, x - k)
-            for x in range(1, 13):
-                for k in range(1, x + 1):
-                    g = gauss(q, x, k)
-                    assert g == gauss(q, x - 1, k) + q ** (
-                        2 * (x - k)
-                    ) * gauss(q, x - 1, k - 1)
-                    assert g == gauss(q, x - 1, k - 1) + q ** (2 * k) * gauss(
-                        q, x - 1, k
-                    )
-                    assert g == Fraction(
-                        q ** (2 * (x - k + 1)) - 1, q ** (2 * k) - 1
-                    ) * gauss(q, x, k - 1)
-                    if x > k:
-                        assert g == Fraction(
-                            q ** (2 * x) - 1, q ** (2 * (x - k)) - 1
-                        ) * gauss(q, x - 1, k)
-                    assert gauss(q, x - 1, k - 1) == Fraction(
-                        q ** (2 * k) - 1, q ** (2 * x) - 1
-                    ) * g
-        for q in (2, 3):
-            # swap, product form, product-to-sum, delta
-            for x in range(9):
-                for i in range(x + 1):
-                    for k in range(x - i + 1):
-                        assert gauss(q, x, i) * gauss(q, x - i, k) == gauss(
-                            q, x, k
-                        ) * gauss(q, x - k, i)
-            for x in range(7):
-                for lam in range(7):
-                    y = Fraction(q) ** lam
-                    prod = Fraction(1)
-                    for i in range(x):
-                        prod *= y - q ** (2 * i)
-                    assert prod == sum(
-                        (-1) ** (x - k)
-                        * q ** (2 * comb(x - k, 2))
-                        * gauss(q, x, k)
-                        * y**k
-                        for k in range(x + 1)
-                    )
-                    total = Fraction(0)
-                    for k in range(x + 1):
-                        pk = Fraction(1)
-                        for i in range(k):
-                            pk *= y - q ** (2 * i)
-                        total += gauss(q, x, k) * pk
-                    assert total == y**x
-            for j in range(9):
-                for i in range(j + 1):
-                    assert sum(
-                        (-1) ** (k - i)
-                        * q ** (2 * sigma(k - i))
-                        * gauss(q, k, i)
-                        * gauss(q, j, k)
-                        for k in range(i, j + 1)
-                    ) == (1 if i == j else 0)
-            # gamma lemma (all four identities)
-            for x in range(-4, 13):
-                for k in range(7):
-                    g = gamma(q, x, k)
-                    prod = Fraction(1)
-                    for i in range(k):
-                        prod *= Fraction(q) ** (x - 2 * i) - 1
-                    assert g == q ** (k * (k - 1)) * prod
-                    assert gamma(q, x + 2, k + 1) == (
-                        Fraction(q) ** (x + 2) - 1
-                    ) * q ** (2 * k) * g
-                    assert gamma(q, x, k + 1) == (
-                        Fraction(q) ** x - q ** (2 * k)
-                    ) * g
-            for x in range(11):
-                for k in range(x + 1):
-                    assert Fraction(gamma(q, 2 * x, k), gamma(q, 2 * k, k)) == gauss(
-                        q, x, k
-                    )
-                    # beta lemma
-                    assert beta(q, x, k) == gauss(q, x, k) * beta(q, k, k)
-                    assert beta(q, x, x) == gauss(q, x, k) * beta(
-                        q, k, k
-                    ) * beta(q, x - k, x - k)
-            # delta / epsilon closed forms
-            for phi in range(7):
-                for j in range(phi + 1):
-                    for lam in range(-2, 13):
-                        delta_closed(q, lam, phi, j)
-                for i in range(phi + 1):
-                    for lam_big in range(phi, 13):
-                        epsilon_closed(q, lam_big, phi, i)
-        # sequence inversion round-trips
-        rng = random.Random(51)
-        for _ in range(30):
-            q = rng.choice((2, 3))
-            l = rng.randint(0, 6)
-            b = [Fraction(rng.randint(-30, 30)) for _ in range(l + 1)]
-            assert invert_sequence(forward_sequence(b, l, q), l, q) == b
+        assert selftest.gauss_identities((2, 3, 4, 5), range(13)) == 364
+        assert selftest.delta_epsilon_lemmas(
+            (2, 3), range(7), range(-2, 13), range(13)
+        ) == 1344
+        sequences = selftest.random_sequences(random.Random(51), 30, 6, 30)
+        assert selftest.inversion_roundtrip(sequences) == 30
         elapsed = time.perf_counter() - start
         assert elapsed < 5.0, f"identity suite took {elapsed:.2f}s"
 
@@ -302,24 +163,11 @@ def test_criterion_5_identity_suite():
 def test_criterion_6_calculus_suite():
     with criterion(6, "calculus suite"):
         rng = random.Random(61)
-
-        pairs = 0
-        while pairs < 200:
-            q = rng.choice((2, 3))
-            f = random_hpoly(rng, q, 4)
-            g = random_hpoly(rng, q, 4)
+        pairs = random_hpoly_pairs(rng, 200)
+        assert selftest.leibniz_x_rule(pairs, 6) == 964
+        for f, g in pairs:
             prod = skew_q_product(f, g)
             for phi in range(7):
-                lhs = (
-                    q_derivative(prod, phi)
-                    if phi <= prod.degree
-                    else None
-                )
-                rhs = leibniz_x_rhs(f, g, phi)
-                if lhs is None or lhs.is_zero():
-                    assert rhs is None or rhs.is_zero()
-                else:
-                    assert rhs is not None and lhs == rhs
                 lhs_y = (
                     q_inv_derivative(prod, phi)
                     if phi <= prod.degree
@@ -330,7 +178,6 @@ def test_criterion_6_calculus_suite():
                     assert rhs_y is None or rhs_y.is_zero()
                 else:
                     assert rhs_y is not None and lhs_y == rhs_y
-            pairs += 1
         # closed-form derivatives of the two power families
         for q in (2, 3):
             for k in range(6):
@@ -347,12 +194,7 @@ def test_criterion_6_calculus_suite():
                     assert q_inv_derivative(
                         mu_power(q, k), phi
                     ) == mu_inv_derivative_closed(q, k, phi)
-        # the nu-derivative delta evaluation
-        for q in (2, 3):
-            for j in range(5):
-                for l in range(j + 1):
-                    want = beta(q, j, j) if j == l else 0
-                    assert eval_nu_derivative_at_ones(q, j, l) == want
+        assert selftest.nu_delta_eval((2, 3), range(5)) == 30
         # evaluation identity against mu powers
         for _ in range(40):
             q = rng.choice((2, 3))
@@ -388,8 +230,9 @@ def test_criterion_7_moments():
 def test_criterion_8_msrd_formula_values():
     with criterion(8, "MSRD formulas and found codes"):
         # the forced distributions
-        assert msrd_distribution(SchemeParams(2, 4), 2).counts == (1, 0, 7)
-        assert msrd_distribution(SchemeParams(3, 4), 1).counts == (1, 260, 468)
+        assert selftest.msrd_formulas(
+            {(2, 4, 2): (1, 0, 7), (3, 4, 1): (1, 260, 468)}
+        ) == 2
         # searched codes: (2,5,2) attains the bound; duals are MSRD with
         # d' = n - d + 2
         p25 = SchemeParams(2, 5)

@@ -396,13 +396,48 @@ class TestSelftestCommand:
         monkeypatch.setattr(macwilliams, "transform_functional", off_by_one)
         sweep = list(selftest.random_code_sweep(random.Random(0)))
         assert sweep and not any(ok for *_, ok in sweep)
-        code, out = run_cli(capsys, "selftest")
-        assert code == 1
+        first = sweep[0][0]
+        named = f"random code fails at q=2 t=4 k={first.k}"
+        with pytest.raises(ArithmeticError, match=named):
+            selftest.random_codes(random.Random(0), [(2, 4)], 5)
+        assert main(["selftest"]) == 1
+        out, err = capsys.readouterr()
         data = json.loads(out)
         assert data["ok"] is False
         checks = {c["name"]: c["ok"] for c in data["checks"]}
         assert checks["random_code_sweep"] is False
         assert checks["gauss_identities"] is True
+        # each failing check and its first failing case, on stderr alone
+        assert err.splitlines() == [
+            "selftest: example_code_pipeline: "
+            "example code pipeline fails at q=3 t=4 k=4",
+            "selftest: random_code_sweep: random code fails at q=2 t=4 k=1",
+        ]
+
+    def test_selftest_workload_is_pinned(self):
+        # cases each check runs at the selftest grid, seed 0: a grid that
+        # grows, or a check that checks nothing, shows here
+        assert {name: cases for name, cases, _ in selftest.run_checks(0)} == {
+            "gauss_identities": 90,
+            "xi_sums": 8,
+            "lambda_ring": 70,
+            "mu_nu_powers": 10,
+            "omega_3_4": 1,
+            "krawtchouk_equivalences": 77,
+            "leibniz_q_derivative": 60,
+            "nu_derivative_delta": 20,
+            "example_code_pipeline": 1,
+            "random_code_sweep": 15,
+            "delta_epsilon_lemmas": 240,
+            "msrd_distribution_and_search": 3,
+            "sequence_inversion": 10,
+        }
+
+    def test_a_check_that_checks_nothing_fails(self, monkeypatch):
+        monkeypatch.setattr(selftest, "xi_sums", lambda qs, ts: 0)
+        results = selftest.run_checks(0)
+        assert ("xi_sums", 0, "checked no case") in results
+        assert dict(selftest.run_selftest(0))["xi_sums"] is False
 
 
 class TestParserReuse:
@@ -422,7 +457,7 @@ class TestParserReuse:
         seen = []
         monkeypatch.setattr(moments, "find_msrd", lambda params, d, budget, seed:
                             seen.append((seed, budget)))
-        monkeypatch.setattr(cli, "run_selftest", lambda seed: seen.append(seed) or [])
+        monkeypatch.setattr(cli, "run_checks", lambda seed: seen.append(seed) or [])
         search = ["msrd-find", "--q", "2", "--t", "4", "--d", "2"]
         assert main(search + ["--seed", "4", "--budget", "5"]) == 3
         assert main(search) == 3

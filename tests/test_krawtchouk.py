@@ -12,6 +12,7 @@ from skewrank.krawtchouk import (
     skew_p,
 )
 from skewrank.qcombinat import SchemeParams, gamma, gauss, xi
+from skewrank.selftest import krawtchouk_equivalences
 
 EQUIVALENCE_PAIRS = ((2, 4), (2, 5), (2, 6), (3, 4), (3, 5), (4, 4), (5, 4))
 FIELDS = (2, 3, 4, 5, 7, 8, 9)
@@ -29,14 +30,8 @@ class TestMatrix:
 
     @pytest.mark.parametrize("q", FIELDS)
     def test_recurrence_matches_closed_forms(self, q):
-        for t in range(2, 13):
-            p = SchemeParams(q, t)
-            mat = p_matrix(p)
-            for x in range(p.n + 1):
-                for k in range(p.n + 1):
-                    sp = skew_p(p, k, x)
-                    assert mat.entries[x][k] == sp
-                    assert skew_c(p, k, x) == sp
+        # 229 entries and 11 column relations
+        assert krawtchouk_equivalences([(q, t) for t in range(2, 13)]) == 240
 
     @pytest.mark.parametrize("q", FIELDS)
     def test_square_is_scaled_identity(self, q):
@@ -64,14 +59,6 @@ class TestMatrix:
             p = SchemeParams(q, t)
             for x in range(p.n + 1):
                 assert p_matrix(p).entries[x][0] == 1
-
-    def test_column_relation(self):
-        # the dual of the whole space is the zero code
-        for q, t in EQUIVALENCE_PAIRS:
-            p = SchemeParams(q, t)
-            mat = p_matrix(p)
-            out = mat.transform([xi(p, x) for x in range(p.n + 1)])
-            assert out == [q ** (p.m * p.n)] + [0] * p.n
 
 
 class TestMatrixCache:
@@ -113,13 +100,10 @@ class TestMatrixCache:
 class TestEquivalence:
     @pytest.mark.parametrize("q,t", EQUIVALENCE_PAIRS)
     def test_three_forms_agree(self, q, t):
-        p = SchemeParams(q, t)
-        b, c = matched_bc(p)
-        for x in range(p.n + 1):
-            for k in range(p.n + 1):
-                sp = skew_p(p, k, x)
-                assert skew_c(p, k, x) == sp
-                assert generalized_p(b, c, k, x, p.n) == sp
+        # every entry, and the column relation: the dual of the whole space
+        # is the zero code
+        n = SchemeParams(q, t).n
+        assert krawtchouk_equivalences([(q, t)]) == (n + 1) ** 2 + 1
 
     def test_matched_bc_by_parity(self):
         p_even = SchemeParams(3, 4)

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from conftest import eval_fraction_sum, random_lambda_scalar
 from skewrank.homopoly import HPoly, evaluate
 from skewrank.lambda_ring import LambdaScalar, eval_lambda, gamma_lambda, shift
-from skewrank.qcombinat import gamma
+from skewrank.selftest import gamma_lambda_values, shift_eval
 
 def scalars_over(q):
     return st.builds(
@@ -67,14 +67,11 @@ class TestBasics:
 class TestShiftEval:
     def test_shift_eval_compatibility_grid(self):
         rng = random.Random(7)
-        for _ in range(200):
-            q = rng.choice((2, 3, 4))
-            s = random_lambda_scalar(rng, q)
-            for j in range(-4, 5):
-                for lam in (-10, -3, 0, 1, 7, 10):
-                    assert shift(s, j).eval_lambda(lam) == s.eval_lambda(
-                        lam - 2 * j
-                    )
+        scalars = [random_lambda_scalar(rng, rng.choice((2, 3, 4)))
+                   for _ in range(200)]
+        cases = [(s, j, lam) for s in scalars for j in range(-4, 5)
+                 for lam in (-10, -3, 0, 1, 7, 10)]
+        assert shift_eval(cases) == 200 * 9 * 6
 
     def test_shift_composition_and_zero(self):
         rng = random.Random(8)
@@ -85,11 +82,7 @@ class TestShiftEval:
             assert shift(shift(s, a), b) == shift(s, a + b)
 
     def test_gamma_lambda_matches_gamma(self):
-        for q in (2, 3):
-            for k in range(7):
-                g = gamma_lambda(q, k)
-                for x in range(13):
-                    assert eval_lambda(g, x) == gamma(q, x, k)
+        assert gamma_lambda_values((2, 3), range(7), range(13)) == 182
 
 
 class TestEvalCommonDenominator:

@@ -4,10 +4,10 @@ from fractions import Fraction
 import pytest
 
 from conftest import (
-    leibniz_x_rhs,
     leibniz_y_rhs,
     mu_inv_derivative_closed,
     random_hpoly,
+    random_hpoly_pairs,
 )
 from skewrank.homopoly import (
     HPoly,
@@ -22,6 +22,7 @@ from skewrank.qcalculus import (
     q_inv_derivative,
 )
 from skewrank.qcombinat import beta
+from skewrank.selftest import leibniz_x_rule, nu_delta_eval
 
 
 def quotient_derivative_x(p, phi, x0, y0, lam):
@@ -153,11 +154,7 @@ class TestEvalNuDelta:
         assert eval_nu_derivative_at_ones(2, 0, 0) == 1
 
     def test_delta_grid(self):
-        for q in (2, 3):
-            for j in range(5):
-                for l in range(j + 1):
-                    want = beta(q, j, j) if l == j else 0
-                    assert eval_nu_derivative_at_ones(q, j, l) == want
+        assert nu_delta_eval((2, 3), range(5)) == 30
 
     def test_domain(self):
         with pytest.raises(ValueError):
@@ -166,30 +163,12 @@ class TestEvalNuDelta:
 
 class TestLeibniz:
     def test_leibniz_x(self):
-        rng = random.Random(77)
-        for _ in range(60):
-            q = rng.choice((2, 3))
-            f = random_hpoly(rng, q, 4)
-            g = random_hpoly(rng, q, 4)
-            prod = skew_q_product(f, g)
-            for phi in range(7):
-                lhs = (
-                    q_derivative(prod, phi)
-                    if phi <= prod.degree
-                    else HPoly(q, [0])
-                )
-                rhs = leibniz_x_rhs(f, g, phi)
-                if rhs is None or rhs.is_zero():
-                    assert lhs.is_zero()
-                else:
-                    assert lhs == rhs
+        pairs = random_hpoly_pairs(random.Random(77), 60)
+        assert leibniz_x_rule(pairs, 6) == 276
 
     def test_leibniz_y(self):
-        rng = random.Random(78)
-        for _ in range(60):
-            q = rng.choice((2, 3))
-            f = random_hpoly(rng, q, 4)
-            g = random_hpoly(rng, q, 4)
+        for f, g in random_hpoly_pairs(random.Random(78), 60):
+            q = f.q
             prod = skew_q_product(f, g)
             for phi in range(7):
                 lhs = (

@@ -248,6 +248,49 @@ def test_rankers_named_only_in_gfcodes():
     assert not found, f"rankers named outside gfcodes: {found}"
 
 
+def _checks(tree) -> set[str]:
+    """The module's public functions annotated to return an int."""
+    return {
+        node.name for node in tree.body
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
+        and isinstance(node.returns, ast.Name) and node.returns.id == "int"
+    }
+
+
+def _called(tree) -> set[str]:
+    """Names called in a module, bare or as an attribute."""
+    return {
+        node.func.id if isinstance(node.func, ast.Name) else node.func.attr
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, (ast.Name, ast.Attribute))
+    }
+
+
+def test_each_identity_check_is_written_once():
+    # selftest's checks are the one copy of each identity check: every one
+    # runs from a test module, and no test module defines its own
+    assert _checks(ast.parse("def f(qs) -> int: ...\n"
+                             "def _g() -> int: ...\n"
+                             "def h(): ...")) == {"f"}
+    assert _called(ast.parse("selftest.f(qs)\ng(f)")) == {"f", "g"}
+    checks = _checks(ast.parse((SRC / "selftest.py").read_text(encoding="utf-8")))
+    assert {"gauss_identities", "krawtchouk_equivalences",
+            "leibniz_x_rule", "random_codes"} <= checks
+    called, defined = set(), []
+    for path in sorted(Path(__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        called |= _called(tree)
+        defined += [
+            f"{path.name}:{node.name}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.FunctionDef)
+            and node.name in checks | {"leibniz_x_rhs"}
+        ]
+    assert checks <= called, f"checks no test calls: {sorted(checks - called)}"
+    assert not defined, f"copies of a check in the tests: {defined}"
+
+
 _CACHES = {"cache", "lru_cache"}
 
 
