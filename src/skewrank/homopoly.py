@@ -3,15 +3,18 @@
 An HPoly of degree r is sum_i c_i(lambda) Y^i X^{r-i} with coefficients in
 the lambda ring.  The product is non-commutative: the term at offset i
 picks up a weight q^{2is} (s the degree of the right factor) and the right
-factor's coefficient is read at lambda - 2i.  Powers are right-nested and
-the transform substitutes skew powers Y^[i] * X^[r-i] for monomials.
+factor's coefficient is read at lambda - 2i.  The product builds each
+output coefficient in one pass, shift and weight folded into int
+numerators over one common denominator, and reduces it once.  Powers are
+right-nested and the transform substitutes skew powers Y^[i] * X^[r-i]
+for monomials.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .lambda_ring import LambdaScalar, RatLike, _rational, gamma_lambda
+from .lambda_ring import LambdaScalar, RatLike, _rational, _skew_sum, gamma_lambda
 from .qcombinat import SchemeParams, _require_int, gauss, xi
 
 
@@ -102,20 +105,20 @@ def one_poly(q: int) -> HPoly:
 
 
 def skew_q_product(a: HPoly, b: HPoly) -> HPoly:
-    """c_u = sum_i q^{2is} a_i(lambda) b_{u-i}(lambda - 2i), s = deg(b)."""
+    """c_u = sum_i q^{2is} a_i(lambda) b_{u-i}(lambda - 2i), s = deg(b).
+
+    Each c_u is one int sum over a common denominator, reduced once.
+    """
     if a.q != b.q:
         raise ValueError(f"mixed base fields q={a.q} and q={b.q}")
-    q = a.q
-    s = b.degree
-    out: list[LambdaScalar] = []
-    for u in range(a.degree + b.degree + 1):
-        acc = LambdaScalar.zero(q)
-        lo = max(0, u - b.degree)
-        hi = min(u, a.degree)
-        for i in range(lo, hi + 1):
-            acc = acc + (a.coeffs[i] * b.coeffs[u - i].shift(i)) * q ** (2 * i * s)
-        out.append(acc)
-    return HPoly(q, out)
+    r, s = a.degree, b.degree
+    return HPoly(a.q, [
+        _skew_sum(a.q, s, [
+            (i, a.coeffs[i], b.coeffs[u - i])
+            for i in range(max(0, u - s), min(u, r) + 1)
+        ])
+        for u in range(r + s + 1)
+    ])
 
 
 def skew_q_power(a: HPoly, k: int) -> HPoly:

@@ -16,7 +16,10 @@ and each row x follows from P_0(x) = 1, P_1(x) = q^m [n-x,1] - [n,1] and
 Three closed forms give the same numbers and serve as its oracles: the
 generic two-parameter form P_k(x,y) over an arbitrary rational base b, its
 specialization at b = q^2 (`skew_p`), and the explicit alternating-sum form
-`skew_c`.
+`skew_c`.  The rational-base form and its Gaussian coefficient
+(`generalized_p`, `gauss_base`) write b = N/D and sum int numerators over
+an int denominator, making one Fraction per result; they use their own
+formula, not the q^2-base functions they check.
 
 `p_matrix` keeps the last `_P_MATRIX_SCHEMES` matrices it built, one per
 scheme, and hands the same frozen matrix of int tuples to every caller.
@@ -26,7 +29,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import comb
+from math import comb, lcm
 
 from .qcombinat import SchemeParams, _Record, gamma, gauss
 
@@ -34,41 +37,66 @@ from .qcombinat import SchemeParams, _Record, gamma, gauss
 _P_MATRIX_SCHEMES = 32
 
 
-def gauss_base(b: Fraction | int, x: int, k: int) -> Fraction:
-    """Gaussian coefficient prod_{i<k} (b^x - b^i)/(b^k - b^i) at rational base b."""
-    b = Fraction(b)
+def _gauss_base_ratio(num: int, den: int, x: int, k: int) -> tuple[int, int]:
+    """gauss_base at b = num/den as an unreduced int (numerator, denominator).
+
+    With b^e = N_e/D_e, factor i is (b^x - b^i)/(b^k - b^i)
+    = (N_x D_i - N_i D_x) D_k / ((N_k D_i - N_i D_k) D_x).
+    """
     if k < 0:
         raise ValueError(f"k={k} must be >= 0")
     if 0 <= x < k:
-        return Fraction(0)
-    out = Fraction(1)
+        return 0, 1
+    # b^x = nx/dx in ints, x < 0 included
+    nx, dx = (num**x, den**x) if x >= 0 else (den**-x, num**-x)
+    nk, dk = num**k, den**k
+    top = bottom = 1
     for i in range(k):
-        out *= (b**x - b**i) / (b**k - b**i)
-    return out
+        ni, di = num**i, den**i
+        top *= (nx * di - ni * dx) * dk
+        bottom *= (nk * di - ni * dk) * dx
+    return top, bottom
+
+
+def gauss_base(b: Fraction | int, x: int, k: int) -> Fraction:
+    """Gaussian coefficient prod_{i<k} (b^x - b^i)/(b^k - b^i) at rational base b.
+
+    The product runs in ints and makes one Fraction.
+    """
+    b = Fraction(b)
+    return Fraction(*_gauss_base_ratio(b.numerator, b.denominator, x, k))
 
 
 def generalized_p(
     b: Fraction | int, c: Fraction | int, k: int, x: int, y: int
 ) -> Fraction:
-    """Two-parameter Krawtchouk value P_k(x,y) for rational b >= 1, c > 1/b."""
+    """Two-parameter Krawtchouk value P_k(x,y) for rational b >= 1, c > 1/b:
+
+        sum_{j<=k} (-1)^{k-j} (c b^y)^j b^{C(k-j,2)} [y-j, y-k]_b [y-x, j]_b.
+
+    Each term is an int numerator over an int denominator, and the terms
+    are summed over one common denominator into one Fraction.
+    """
     b = Fraction(b)
     c = Fraction(c)
     if b < 1 or c * b <= 1:
         raise ValueError(f"need b >= 1 and c > 1/b, got b={b}, c={c}")
     if not (0 <= x <= y and 0 <= k <= y):
         raise ValueError(f"x={x}, k={k} must lie in 0..y={y}")
-    cby = c * b**y
-    out = Fraction(0)
+    bn, bd = b.numerator, b.denominator
+    # c b^y = cn / cd
+    cn, cd = c.numerator * bn**y, c.denominator * bd**y
+    terms = []
     for j in range(k + 1):
-        term = (
-            (-1) ** (k - j)
-            * cby**j
-            * b ** comb(k - j, 2)
-            * gauss_base(b, y - j, y - k)
-            * gauss_base(b, y - x, j)
-        )
-        out += term
-    return out
+        g1n, g1d = _gauss_base_ratio(bn, bd, y - j, y - k)
+        g2n, g2d = _gauss_base_ratio(bn, bd, y - x, j)
+        e = comb(k - j, 2)
+        terms.append((
+            (-1) ** (k - j) * cn**j * bn**e * g1n * g2n,
+            cd**j * bd**e * g1d * g2d,
+        ))
+    den = lcm(*[d for _, d in terms])
+    return Fraction(sum([n * (den // d) for n, d in terms]), den)
 
 
 def skew_p(params: SchemeParams, k: int, x: int) -> int:

@@ -10,7 +10,9 @@ An element is stored as int numerators over one positive int denominator,
 sum_e nums[e] * Q**e / den, kept reduced: no zero numerator is stored and
 gcd(den, *nums) = 1 (the zero element has den = 1).  That form is unique,
 so equality compares it directly, and every ring operation runs in ints
-and reduces once per result.
+and reduces once per result.  The skew-q product (homopoly) keeps the same
+rule: each of its output coefficients is one int sum over a common
+denominator (`_skew_sum`), reduced once.
 """
 
 from __future__ import annotations
@@ -218,6 +220,30 @@ class LambdaScalar:
             else:
                 bits.append(f"{c}*Q^{e}")
         return " + ".join(bits)
+
+
+def _skew_sum(q: int, s: int, terms) -> LambdaScalar:
+    """sum of q^{2is} a * b.shift(i) over (i, a, b) in terms, i >= 0: one
+    coefficient of the skew-q product.
+
+    Term (e, f) of a * b.shift(i) lands on Q^{e+f} with the weight
+    q^{2is} q^{-2if} = q^{2i(s-f)}.  Over the lcm of the terms'
+    denominators, times q^{-low} with low the lowest of those exponents
+    and 0, every numerator is an int; the sum is reduced once.
+    """
+    terms = [(i, a, b) for i, a, b in terms if a._nums and b._nums]
+    if not terms:
+        return _reduced(q, 1, {})
+    den = lcm(*[a._den * b._den for _, a, b in terms])
+    low = min(0, *[2 * i * (s - max(b._nums)) for i, _, b in terms])
+    nums: dict[int, int] = {}
+    for i, a, b in terms:
+        scale = den // (a._den * b._den)
+        for f, cb in b._nums.items():
+            w = scale * cb * q ** (2 * i * (s - f) - low)
+            for e, ca in a._nums.items():
+                nums[e + f] = nums.get(e + f, 0) + ca * w
+    return _reduced(q, den * q**-low, nums)
 
 
 def shift(s: LambdaScalar, j: int) -> LambdaScalar:

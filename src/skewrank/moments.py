@@ -30,13 +30,6 @@ from .qcombinat import _qpow, _Record, _require_int, gamma, gauss, sigma
 SEARCH_BUDGET = 20000
 
 
-def _gauss0(q: int, x: int, k: int) -> Fraction:
-    """Gaussian coefficient extended by 0 for negative k."""
-    if k < 0:
-        return Fraction(0)
-    return gauss(q, x, k)
-
-
 # ---------------------------------------------------------------------------
 # moment identities
 # ---------------------------------------------------------------------------
@@ -210,63 +203,79 @@ def corollary_bounds(
 # ---------------------------------------------------------------------------
 
 
-def delta_closed(q: int, lam: int, phi: int, j: int) -> Fraction:
+def _scaled_gamma(q: int, x: int, k: int, e: int) -> int:
+    """q^{ek} gamma(q, x, k) = prod_{l<k} (q^{x+e} - q^{2l+e}), for x + e >= 0."""
+    out = 1
+    for l in range(k):
+        out *= q ** (x + e) - q ** (2 * l + e)
+    return out
+
+
+def _exact(num: int, den: int) -> int | Fraction:
+    """num/den: an int when it divides, else a Fraction."""
+    val, rem = divmod(num, den)
+    return Fraction(num, den) if rem else val
+
+
+def delta_closed(q: int, lam: int, phi: int, j: int) -> int | Fraction:
     """sum_i [j,i] (-1)^i q^{2 sigma_i} gamma(lam-2i, phi), with its closed form.
 
     Raises ArithmeticError unless the sum equals
-    gamma(2 phi, j) gamma(lam-2j, phi-j) q^{j(lam-2j)}; returns the value.
+    gamma(2 phi, j) gamma(lam-2j, phi-j) q^{j(lam-2j)}; returns the value,
+    an int when it is integral and a Fraction otherwise.  Below lam = 2j
+    each gamma(lam-2i, phi) has a denominator dividing q^{e phi},
+    e = 2j - lam, so both sides are summed as ints times q^{e phi}.
     """
     if phi < 0 or j < 0:
         raise ValueError("phi and j must be >= 0")
-    total = sum(
-        (
-            gauss(q, j, i) * (-1) ** i * q ** (2 * sigma(i))
-            * gamma(q, lam - 2 * i, phi)
-            for i in range(j + 1)
-        ),
-        Fraction(0),
-    )
+    e = max(0, 2 * j - lam)
+    total = sum([
+        gauss(q, j, i) * (-1) ** i * q ** (2 * sigma(i))
+        * _scaled_gamma(q, lam - 2 * i, phi, e)
+        for i in range(j + 1)
+    ])
     lead = gamma(q, 2 * phi, j)
     if lead == 0:
-        closed = Fraction(0)
+        closed = 0
     else:
-        closed = lead * gamma(q, lam - 2 * j, phi - j) * _qpow(q, j * (lam - 2 * j))
+        closed = (lead * _scaled_gamma(q, lam - 2 * j, phi - j, e)
+                  * q ** (j * (lam - 2 * j + e)))
+    den = q ** (e * phi)
     if total != closed:
         raise ArithmeticError(
             f"delta lemma fails at q={q} lam={lam} phi={phi} j={j}: "
-            f"sum {total}, closed {closed}"
+            f"sum {_exact(total, den)}, closed {_exact(closed, den)}"
         )
-    return total
+    return _exact(total, den)
 
 
-def epsilon_closed(q: int, lam_big: int, phi: int, i: int) -> Fraction:
+def epsilon_closed(q: int, lam_big: int, phi: int, i: int) -> int:
     """The epsilon alternating sum with its closed form.
 
     Raises ArithmeticError unless sum_l [i,l][lam_big-i, phi-l]
     q^{2l(lam_big-phi)} (-1)^l q^{2 sigma_l} gamma(2(phi-l), i-l) equals
-    (-1)^i q^{2 sigma_i} [lam_big-i, lam_big-phi]; returns the value.
+    (-1)^i q^{2 sigma_i} [lam_big-i, lam_big-phi]; returns the value, an
+    int: 0 below lam_big = phi, where [lam_big-i, lam_big-phi] is 0.
+    Term l is nonzero only at phi - lam_big + i <= l <= i, which needs
+    lam_big >= phi, so no nonzero term has a negative power of q and the
+    sum runs in ints over those terms alone.
     The lemma needs lam_big >= i; below it the closed form does not apply.
     """
     if phi < 0 or i < 0:
         raise ValueError("phi and i must be >= 0")
     if lam_big < i:
         raise ValueError(f"lam_big={lam_big} must be >= i={i}")
-    total = Fraction(0)
-    for l in range(i + 1):
-        g2 = _gauss0(q, lam_big - i, phi - l)
-        if g2 == 0:
-            continue
-        total += (
-            gauss(q, i, l)
-            * g2
-            * _qpow(q, 2 * l * (lam_big - phi))
-            * (-1) ** l
-            * q ** (2 * sigma(l))
-            * gamma(q, 2 * (phi - l), i - l)
-        )
-    closed = (
-        (-1) ** i * q ** (2 * sigma(i)) * _gauss0(q, lam_big - i, lam_big - phi)
-    )
+    total = sum([
+        gauss(q, i, l)
+        * gauss(q, lam_big - i, phi - l)
+        * (-1) ** l
+        * q ** (2 * l * (lam_big - phi) + 2 * sigma(l))
+        * gamma(q, 2 * (phi - l), i - l)
+        for l in range(max(0, phi - lam_big + i), min(i, phi) + 1)
+    ])
+    closed = 0
+    if lam_big >= phi:
+        closed = (-1) ** i * q ** (2 * sigma(i)) * gauss(q, lam_big - i, lam_big - phi)
     if total != closed:
         raise ArithmeticError(
             f"epsilon lemma fails at q={q} lam_big={lam_big} phi={phi} i={i}: "

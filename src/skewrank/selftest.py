@@ -173,12 +173,14 @@ def leibniz_x_rule(pairs, max_phi: int) -> int:
     for f, g in pairs:
         q, r, s = f.q, f.degree, g.degree
         prod = homopoly.skew_q_product(f, g)
+        # each derivative once per pair, not once per (phi, l)
+        df = [qcalculus.q_derivative(f, l) for l in range(min(r, max_phi) + 1)]
+        dg = [qcalculus.q_derivative(g, l) for l in range(min(s, max_phi) + 1)]
         for phi in range(min(max_phi, r + s) + 1):
             # every term has degree r + s - phi
             terms = [
-                homopoly.skew_q_product(
-                    qcalculus.q_derivative(f, l), qcalculus.q_derivative(g, phi - l)
-                ).scale(gauss(q, phi, l) * q ** (2 * (phi - l) * (r - l)))
+                homopoly.skew_q_product(df[l], dg[phi - l])
+                .scale(gauss(q, phi, l) * q ** (2 * (phi - l) * (r - l)))
                 for l in range(max(0, phi - s), min(phi, r) + 1)
             ]
             if qcalculus.q_derivative(prod, phi) != sum(terms[1:], terms[0]):

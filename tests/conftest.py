@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -39,6 +40,16 @@ def eval_fraction_sum(s: LambdaScalar, lam: int) -> Fraction:
         (c * Fraction(s.q) ** (lam * e) for e, c in s.terms().items()),
         Fraction(0),
     )
+
+
+def assert_canonical(s):
+    # the stored form: a positive int denominator, int numerators, none
+    # of them zero, and no common factor left between them
+    assert type(s._den) is int and s._den > 0
+    assert all(type(c) is int and c != 0 for c in s._nums.values())
+    assert gcd(s._den, *s._nums.values()) == 1
+    if not s._nums:
+        assert s._den == 1
 
 
 def random_hpoly(rng: random.Random, q: int, max_deg: int = 4,

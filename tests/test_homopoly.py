@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import random_hpoly
+from conftest import SUPPORTED_Q, assert_canonical, random_hpoly
 from skewrank.homopoly import (
     HPoly,
     evaluate,
@@ -63,6 +63,29 @@ class TestProduct:
             left = skew_q_product(skew_q_product(a, b), c)
             right = skew_q_product(a, skew_q_product(b, c))
             assert left == right
+
+    @pytest.mark.parametrize("q", SUPPORTED_Q)
+    def test_pointwise_oracle(self, q):
+        # c_u(lam) = sum_i q^{2is} a_i(lam) b_{u-i}(lam - 2i), summed in
+        # Fractions from eval_lambda values, and each c_u in reduced form
+        rng = random.Random(1000 + q)
+        for _ in range(6):
+            a = random_hpoly(rng, q, 4)
+            b = random_hpoly(rng, q, 4)
+            r, s = a.degree, b.degree
+            prod = skew_q_product(a, b)
+            assert prod.degree == r + s
+            for u, c in enumerate(prod.coeffs):
+                assert_canonical(c)
+                for lam in range(-4, 7):
+                    want = sum(
+                        (Fraction(q) ** (2 * i * s)
+                         * a.coeffs[i].eval_lambda(lam)
+                         * b.coeffs[u - i].eval_lambda(lam - 2 * i)
+                         for i in range(max(0, u - s), min(u, r) + 1)),
+                        Fraction(0),
+                    )
+                    assert c.eval_lambda(lam) == want, (u, lam)
 
     def test_units_two_sided(self):
         rng = random.Random(5)

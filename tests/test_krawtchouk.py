@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import comb
 
 import pytest
 
@@ -16,6 +17,34 @@ from skewrank.selftest import krawtchouk_equivalences
 
 EQUIVALENCE_PAIRS = ((2, 4), (2, 5), (2, 6), (3, 4), (3, 5), (4, 4), (5, 4))
 FIELDS = (2, 3, 4, 5, 7, 8, 9)
+BASES = (Fraction(3, 2), Fraction(5, 3), Fraction(9, 4), Fraction(4), Fraction(9))
+
+
+def gauss_base_oracle(b, x, k):
+    """prod_{i<k} (b^x - b^i)/(b^k - b^i), one Fraction step at a time."""
+    b = Fraction(b)
+    if 0 <= x < k:
+        return Fraction(0)
+    out = Fraction(1)
+    for i in range(k):
+        out *= (b**x - b**i) / (b**k - b**i)
+    return out
+
+
+def generalized_p_oracle(b, c, k, x, y):
+    """P_k(x,y) as a Fraction sum of Fraction terms."""
+    b, c = Fraction(b), Fraction(c)
+    cby = c * b**y
+    out = Fraction(0)
+    for j in range(k + 1):
+        out += (
+            (-1) ** (k - j)
+            * cby**j
+            * b ** comb(k - j, 2)
+            * gauss_base_oracle(b, y - j, y - k)
+            * gauss_base_oracle(b, y - x, j)
+        )
+    return out
 
 
 class TestMatrix:
@@ -151,6 +180,27 @@ class TestGeneralizedForm:
             got = gauss_base(4, x, k)
             assert type(got) is Fraction
             assert got == gauss(2, x, k)  # 21 at (3, 1)
+
+    @pytest.mark.parametrize("b", BASES, ids=str)
+    def test_int_form_matches_fraction_oracle(self, b):
+        # the int numerator over an int denominator, at integral and
+        # non-integral bases, against the Fraction-by-Fraction products
+        for x in range(-5, 8):
+            for k in range(6):
+                got = gauss_base(b, x, k)
+                assert type(got) is Fraction
+                assert got == gauss_base_oracle(b, x, k), (x, k)
+        cs = [c for c in (Fraction(1, 2), Fraction(3, 4), Fraction(2), Fraction(7, 3))
+              if c * b > 1]
+        assert len(cs) >= 2
+        for c in cs:
+            for y in range(6):
+                for x in range(y + 1):
+                    for k in range(y + 1):
+                        got = generalized_p(b, c, k, x, y)
+                        assert type(got) is Fraction
+                        assert got == generalized_p_oracle(b, c, k, x, y), (
+                            c, k, x, y)
 
     def test_recurrence_fixed_bc(self):
         # P_{k+1}(x+1, y+1) = b^{k+1} P_{k+1}(x,y) - b^k P_k(x,y)

@@ -1,12 +1,11 @@
 import random
 from fractions import Fraction
-from math import gcd
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import eval_fraction_sum, random_lambda_scalar
+from conftest import assert_canonical, eval_fraction_sum, random_lambda_scalar
 from skewrank.homopoly import HPoly, evaluate
 from skewrank.lambda_ring import LambdaScalar, eval_lambda, gamma_lambda, shift
 from skewrank.selftest import gamma_lambda_values, shift_eval
@@ -164,16 +163,6 @@ term_dicts = st.dictionaries(
 
 def nonzero(terms):
     return {e: Fraction(c) for e, c in terms.items() if c != 0}
-
-
-def assert_canonical(s):
-    # the stored form: a positive int denominator, int numerators, none
-    # of them zero, and no common factor left between them
-    assert type(s._den) is int and s._den > 0
-    assert all(type(c) is int and c != 0 for c in s._nums.values())
-    assert gcd(s._den, *s._nums.values()) == 1
-    if not s._nums:
-        assert s._den == 1
 
 
 class TestAgainstFractionTerms:

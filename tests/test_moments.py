@@ -208,6 +208,14 @@ class TestCorollaries:
                     assert chk.ok, (q, t, chk)
 
 
+def fraction_gamma(q, x, k):
+    """prod_{l<k} (q^x - q^{2l}) as a Fraction product."""
+    out = Fraction(1)
+    for l in range(k):
+        out *= Fraction(q) ** x - q ** (2 * l)
+    return out
+
+
 class TestClosedFormLemmas:
     # the grids, phi <= 6 and lambda <= 12, run in acceptance criterion 5
 
@@ -228,6 +236,44 @@ class TestClosedFormLemmas:
         assert epsilon_closed(3, 3, 3, 2) == (-1) ** 2 * 3 ** (2 * 1) * gauss(
             3, 1, 0
         )
+
+    @pytest.mark.parametrize("q", (2, 3, 4, 5))
+    def test_delta_where_exponents_go_negative(self, q):
+        # below lam = 2j, gamma(lam - 2i, phi) is a Fraction: the int sum
+        # over q^{e phi} must give the Fraction sum of the same terms
+        fractional = 0
+        for phi in range(5):
+            for j in range(phi + 1):
+                for lam in range(-3, 2 * j):
+                    want = sum(
+                        (gauss(q, j, i) * (-1) ** i * q ** (2 * sigma(i))
+                         * fraction_gamma(q, lam - 2 * i, phi)
+                         for i in range(j + 1)),
+                        Fraction(0),
+                    )
+                    got = delta_closed(q, lam, phi, j)
+                    assert got == want, (phi, j, lam)
+                    assert (type(got) is int) == (want.denominator == 1)
+                    fractional += want.denominator != 1
+        assert fractional
+
+    @pytest.mark.parametrize("q", (2, 3, 4, 5))
+    def test_epsilon_where_exponents_go_negative(self, q):
+        # below lam_big = phi, the weight q^{2l(lam_big - phi)} is a Fraction
+        for phi in range(6):
+            for i in range(phi + 1):
+                for lam_big in range(i, phi + 2):
+                    want = sum(
+                        (gauss(q, i, l) * gauss(q, lam_big - i, phi - l)
+                         * Fraction(q) ** (2 * l * (lam_big - phi))
+                         * (-1) ** l * q ** (2 * sigma(l))
+                         * gamma(q, 2 * (phi - l), i - l)
+                         for l in range(i + 1) if l <= phi),
+                        Fraction(0),
+                    )
+                    got = epsilon_closed(q, lam_big, phi, i)
+                    assert got == want, (phi, i, lam_big)
+                    assert type(got) is int
 
     def test_domain_errors(self):
         with pytest.raises(ValueError):
